@@ -30,7 +30,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="index weights: uniform, stationary, or a file")
     parser.add_argument("--format", default="auto",
                         choices=("auto", "graph", "matrix"),
-                        help="input format (auto tries matrix, then graph)")
+                        help="input format (auto takes whichever of matrix and graph parses, "
+                             "and refuses a file whose two readings differ)")
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:

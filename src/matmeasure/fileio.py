@@ -117,13 +117,26 @@ def parse_weights_file(text: str, n: int, name: str = "<weights>") -> np.ndarray
     return np.array(values)
 
 
+def _represent(graph: Graph, rep: str, weights) -> MeasuredMatrix:
+    if rep == "adjacency":
+        return adjacency(graph, weights)
+    if rep == "kirchhoff":
+        return kirchhoff(graph, weights)
+    if rep == "normalized":
+        return normalized_laplacian(graph, weights)
+    raise ValueError(f"unknown representation {rep!r}; expected one of "
+                     f"{REPRESENTATIONS}")
+
+
 def load_measured(path: str | Path, rep: str = "adjacency",
                   weights: str = "uniform", fmt: str = "auto") -> MeasuredMatrix:
     """Load a graph or matrix file as a ``MeasuredMatrix``.
 
     ``fmt`` is ``graph``, ``matrix``, or ``auto`` (try matrix, fall back to
     graph).  Graphs are converted through ``rep``; matrix files are used as
-    they are and ``rep`` is ignored for them.
+    they are and ``rep`` is ignored for them.  In ``auto`` mode a file that
+    parses both ways is accepted only if the two readings give the same
+    matrix under ``rep``; otherwise a ``ValueError`` asks for ``--format``.
     """
     path = Path(path)
     text = path.read_text()
@@ -140,6 +153,16 @@ def load_measured(path: str | Path, rep: str = "adjacency",
             entries = parse_matrix(text, name)
         except ValueError:
             graph = parse_graph(text, name)
+        else:
+            try:
+                also_graph = parse_graph(text, name)
+            except ValueError:
+                also_graph = None
+            if also_graph is not None and not np.array_equal(
+                    _represent(also_graph, rep, "uniform").entries, entries):
+                raise ValueError(f"{name}: reads as a matrix and as a graph, and the "
+                                 f"two differ under --rep {rep}; choose one with "
+                                 f"--format matrix or --format graph")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -157,14 +180,7 @@ def load_measured(path: str | Path, rep: str = "adjacency",
     else:
         weight_choice = parse_weights_file(Path(weights).read_text(), graph.n,
                                            Path(weights).name)
-    if rep == "adjacency":
-        return adjacency(graph, weight_choice)
-    if rep == "kirchhoff":
-        return kirchhoff(graph, weight_choice)
-    if rep == "normalized":
-        return normalized_laplacian(graph, weight_choice)
-    raise ValueError(f"unknown representation {rep!r}; expected one of "
-                     f"{REPRESENTATIONS}")
+    return _represent(graph, rep, weight_choice)
 
 
 DIST_CSV_HEADER = "idA,idB,k,estimate,tail_bound,count,seed,mode,rep,metric"

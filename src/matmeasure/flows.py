@@ -20,7 +20,8 @@ def bipartite_max_flow(supply: np.ndarray, demand: np.ndarray, allowed: np.ndarr
     Node layout: source -> supply nodes (capacity = supply weights),
     supply i -> demand j for every True entry of ``allowed`` (capacity 1,
     never binding since the total mass is 1), demand nodes -> sink
-    (capacity = demand weights).
+    (capacity = demand weights).  Rounding in long augmenting paths can push
+    the float total past the masses, so it is clamped to both of them.
     """
     m1, m2 = len(supply), len(demand)
     n_nodes = m1 + m2 + 2
@@ -73,7 +74,7 @@ def bipartite_max_flow(supply: np.ndarray, demand: np.ndarray, allowed: np.ndarr
                     level[v] = level[u] + 1
                     queue.append(v)
         if level[snk] < 0:
-            return flow
+            return min(flow, float(supply.sum()), float(demand.sum()))
         it = [0] * n_nodes
         while True:
             pushed = dfs(src, float("inf"), level, it)

@@ -54,6 +54,10 @@ class SamplingConfig:
                 continue
             key, _, value = line.partition(" ")
             fields[key] = value.strip()
+        missing = [name for name in ("count", "seed", "kmax", "metric", "mode")
+                   if name not in fields]
+        if missing:
+            raise ValueError(f"sampling config lacks field(s): {', '.join(missing)}")
         return cls(count=int(fields["count"]), seed=int(fields["seed"]),
                    kmax=int(fields["kmax"]), metric=fields["metric"],
                    mode=fields["mode"])

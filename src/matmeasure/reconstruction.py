@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .matrices import MeasuredMatrix, norm_inf_to_1, orbit_measures, perturb
-from .measures import WeightedPointMeasure, lp_distance, lp_feasible
+from .measures import WeightedPointMeasure, lp_feasible, min_pairwise_lp
 
 KERNEL_RESIDUAL_TOL = 1e-9
 IRREDUCIBLE_LIMIT = 6
@@ -249,18 +249,6 @@ def choose_epsilon(matrix: MeasuredMatrix, v, norm_bound: float | None = None,
         return eps_order
     separation = min_pairwise_lp(orbit, metric)
     return min(separation / 2.0, eps_order)
-
-
-def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
-    """Smallest LP distance between distinct members of a collection."""
-    members = list(measures)
-    best = np.inf
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            d = lp_distance(members[i], members[j], metric)
-            if d < best:
-                best = d
-    return float(best)
 
 
 class MeasureOracle:

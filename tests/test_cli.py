@@ -129,6 +129,18 @@ def test_domain_error_exit_code(inputs, capsys):
     assert main(["norm", str(inputs / "ex24.mat"), "--p", "stationary"]) == 2
 
 
+def test_ambiguous_auto_format_exit_code(inputs, capsys):
+    (inputs / "k2_twice.txt").write_text("2\n1 0\n0 1\n")
+    (inputs / "k2.graph").write_text("0 1\n")
+    assert main(["dist", str(inputs / "k2_twice.txt"), str(inputs / "k2.graph"),
+                 "--mode", "exact_orbit"]) == 2
+    assert "--format" in capsys.readouterr().err
+    assert main(["dist", str(inputs / "k2_twice.txt"), str(inputs / "k2.graph"),
+                 "--mode", "exact_orbit", "--format", "graph"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert all(float(row.split(",")[3]) == 0.0 for row in rows)
+
+
 def test_module_entry_point(inputs):
     proc = subprocess.run(
         [sys.executable, "-m", "matmeasure", "norm", str(inputs / "ex24.mat")],

@@ -93,6 +93,25 @@ def test_format_override(tmp_path):
     assert as_graph.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
+def test_auto_format_refuses_readings_that_differ(tmp_path):
+    # K2 with its edge listed twice reads as the 2x2 identity matrix, which
+    # is not K2's adjacency matrix.
+    twice = tmp_path / "k2_twice.txt"
+    twice.write_text("2\n1 0\n0 1\n")
+    with pytest.raises(ValueError, match="--format"):
+        fileio.load_measured(twice)
+    assert fileio.load_measured(twice, fmt="matrix").entries.tolist() == [[1.0, 0.0],
+                                                                         [0.0, 1.0]]
+    assert fileio.load_measured(twice, fmt="graph").entries.tolist() == [[0.0, 1.0],
+                                                                        [1.0, 0.0]]
+    # The readings of test_format_override agree under adjacency, but not
+    # under the Kirchhoff representation.
+    agree = tmp_path / "two.txt"
+    agree.write_text("2\n0 1\n1 0\n")
+    with pytest.raises(ValueError, match="--format"):
+        fileio.load_measured(agree, rep="kirchhoff")
+
+
 def test_fmt17_is_precise():
     value = 1.0 / 3.0
     assert float(fileio.fmt17(value)) == value

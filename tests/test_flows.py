@@ -59,3 +59,14 @@ def test_matches_brute_force_min_cut():
         allowed = rng.random((m1, m2)) < 0.4
         flow = bipartite_max_flow(supply, demand, allowed)
         assert abs(flow - brute_min_cut(supply, demand, allowed)) < 1e-12
+
+
+def test_flow_never_exceeds_the_total_mass():
+    # A long uniform chain routes mass through augmenting paths hundreds of
+    # edges long; the float total once came out as 1.0000000000000095.
+    k = 600
+    mass = np.full(k, 1.0 / k)
+    allowed = np.eye(k, dtype=bool) | np.eye(k, k=1, dtype=bool)
+    flow = bipartite_max_flow(mass, mass, allowed)
+    assert flow <= min(mass.sum(), 1.0)
+    assert abs(flow - 1.0) < 1e-12

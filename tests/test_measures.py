@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matmeasure as mm
+from matmeasure.flows import bipartite_max_flow
+from matmeasure.measures import (MASS_SLACK, SUBSET_KERNEL_MAX_ATOMS, _lp_breakpoints,
+                                 _lp_subsets, _point_distances)
 from conftest import random_measure, random_weights
 
 HALF = 0.5
@@ -154,6 +157,104 @@ def test_oracle_matches_flow_on_random_pairs():
         for metric in mm.measures.METRICS:
             assert abs(mm.lp_distance(mu, nu, metric)
                        - mm.lp_oracle(mu, nu, metric)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# subset min-cut kernel against the Dinic breakpoint search and the oracle
+# ---------------------------------------------------------------------------
+
+def kernel_pair(rng, m1, m2, dim=2):
+    """A random pair with varied weights; some atoms coincide and merge."""
+    def side(m):
+        kind = rng.choice(["uniform", "lattice", "random"])
+        if kind == "uniform":
+            weights = np.full(m, 1.0 / m)
+        elif kind == "lattice":
+            counts = rng.multinomial(60 - m, np.full(m, 1.0 / m)) + 1
+            weights = counts / 60.0
+        else:
+            weights = random_weights(rng, m)
+        points = rng.uniform(-1.0, 1.0, (m, dim)) * float(rng.choice([0.3, 1.0]))
+        if m > 1 and rng.random() < 0.2:
+            points[-1] = points[0]
+        return mm.WeightedPointMeasure(points, weights)
+    return side(m1), side(m2)
+
+
+def kernel_sizes(rng):
+    if rng.random() < 0.1:
+        m = SUBSET_KERNEL_MAX_ATOMS + int(rng.integers(0, 2))
+        return m, m - int(rng.integers(0, 3))
+    return int(rng.integers(1, 9)), int(rng.integers(1, 9))
+
+
+def both_kernels(mu, nu, metric):
+    dist = _point_distances(mu.points, nu.points, metric)
+    kernel = _lp_subsets(dist[None], mu.weights[None], nu.weights[None])[0]
+    return float(kernel), _lp_breakpoints(dist, mu.weights, nu.weights)
+
+
+def test_subset_kernel_matches_dinic_search():
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for trial in range(1000):
+        mu, nu = kernel_pair(rng, *kernel_sizes(rng), dim=2 + trial % 2)
+        metric = mm.measures.METRICS[trial % 2]
+        kernel, dinic = both_kernels(mu, nu, metric)
+        worst = max(worst, abs(kernel - dinic))
+    assert worst <= 1e-12
+
+
+def test_subset_kernel_enumerates_either_side():
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        mu, nu = kernel_pair(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        forward, _ = both_kernels(mu, nu, "euclidean")
+        backward, _ = both_kernels(nu, mu, "euclidean")
+        assert abs(forward - backward) <= 1e-12
+
+
+def test_subset_kernel_matches_oracle():
+    rng = np.random.default_rng(33)
+    for trial in range(300):
+        mu, nu = kernel_pair(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        metric = mm.measures.METRICS[trial % 2]
+        kernel, _ = both_kernels(mu, nu, metric)
+        assert abs(kernel - mm.lp_oracle(mu, nu, metric)) <= 1e-12
+
+
+def test_lp_distance_picks_the_kernel_by_support_sizes():
+    # The kernel serves pairs up to the crossover whose subset table fits
+    # the cell cap; the Dinic search serves the rest.
+    rng = np.random.default_rng(34)
+    for m1, m2, kernel_expected in ((SUBSET_KERNEL_MAX_ATOMS, 11, True),
+                                    (SUBSET_KERNEL_MAX_ATOMS + 1, 12, False),
+                                    (SUBSET_KERNEL_MAX_ATOMS, 1024, True),
+                                    (SUBSET_KERNEL_MAX_ATOMS, 1025, False)):
+        mu = mm.WeightedPointMeasure(rng.uniform(-1.0, 1.0, (m1, 2)), np.full(m1, 1.0 / m1))
+        nu = mm.WeightedPointMeasure(rng.uniform(-1.0, 1.0, (m2, 2)), np.full(m2, 1.0 / m2))
+        kernel, dinic = both_kernels(mu, nu, "euclidean")
+        assert abs(kernel - dinic) <= 1e-12
+        expected = kernel if kernel_expected else dinic
+        assert mm.lp_distance(mu, nu) == expected == mm.lp_distance(nu, mu)
+
+
+def test_feasibility_decision_matches_dinic():
+    rng = np.random.default_rng(35)
+    checked = 0
+    for trial in range(400):
+        mu, nu = kernel_pair(rng, *kernel_sizes(rng))
+        metric = mm.measures.METRICS[trial % 2]
+        dist = _point_distances(mu.points, nu.points, metric)
+        value = mm.lp_distance(mu, nu, metric)
+        probes = np.concatenate((rng.uniform(0.0, 1.0, 3), rng.choice(dist.ravel(), 2),
+                                 [value - 1e-8, value + 1e-8]))
+        for eps in probes[(probes >= 0.0) & (np.abs(probes - value) >= 1e-9)]:
+            flow = bipartite_max_flow(mu.weights, nu.weights, dist <= eps)
+            dinic = eps >= 1.0 or flow >= 1.0 - eps - MASS_SLACK
+            assert mm.lp_feasible(mu, nu, eps, metric) == dinic == (eps > value)
+            checked += 1
+    assert checked > 2000
 
 
 # ---------------------------------------------------------------------------

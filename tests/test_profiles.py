@@ -225,3 +225,9 @@ def test_sampling_config_round_trip():
     cfg = mm.SamplingConfig(count=77, seed=5, metric="chebyshev",
                             mode="exact_orbit", kmax=2)
     assert mm.SamplingConfig.from_text(cfg.to_text()) == cfg
+
+
+def test_sampling_config_missing_field_is_named():
+    text = "count 10\nseed 3\nmetric euclidean\nmode sampled\n"
+    with pytest.raises(ValueError, match="kmax"):
+        mm.SamplingConfig.from_text(text)

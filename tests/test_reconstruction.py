@@ -5,7 +5,8 @@ import pytest
 
 import matmeasure as mm
 from matmeasure.reconstruction import DegenerateSupportError
-from conftest import EXAMPLE_A, EXAMPLE_B, four_vertex_classes
+from conftest import (EXAMPLE_A, EXAMPLE_B, four_vertex_classes, random_measure,
+                      random_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,60 @@ def test_choose_epsilon_combines_both_conditions():
     assert eps == pytest.approx(expected, rel=1e-12)
     # Regression baseline for the worked example.
     assert eps == pytest.approx(1.0 / 6.0, abs=1e-12)
+
+
+def all_pairs_minimum(members, metric="euclidean"):
+    return min(mm.lp_distance(a, b, metric) for a, b in itertools.combinations(members, 2))
+
+
+def test_min_pairwise_lp_equals_lp_distance_minimum_on_an_orbit():
+    # 120 five-atom measures: 7,140 pairs, evaluated in several chunks.
+    rng = np.random.default_rng(46)
+    matrix = mm.MeasuredMatrix(rng.integers(0, 2, (5, 5)).astype(float))
+    orbit = list(mm.orbit_measures(matrix, rng.uniform(-1.0, 1.0, 5)))
+    assert len(orbit) == 120
+    assert mm.min_pairwise_lp(orbit) == all_pairs_minimum(orbit)
+
+
+def test_min_pairwise_lp_equals_lp_distance_minimum_on_mixed_counts():
+    rng = np.random.default_rng(47)
+    for trial in range(12):
+        dim = 2 + trial % 2
+        metric = mm.measures.METRICS[trial % 2]
+        members = []
+        for _ in range(int(rng.integers(2, 30))):
+            m = int(rng.integers(1, 9))
+            points = rng.uniform(-1.0, 1.0, (m, dim)) * float(rng.choice([0.2, 1.0]))
+            if m > 1 and rng.random() < 0.2:
+                points[-1] = points[0]  # merged atoms
+            weights = np.full(m, 1.0 / m) if rng.random() < 0.5 else random_weights(rng, m)
+            members.append(mm.WeightedPointMeasure(points, weights))
+        if trial % 4 == 0:
+            # Two members above the kernel crossover take the Dinic path.
+            big = mm.measures.SUBSET_KERNEL_MAX_ATOMS + 1
+            members += [mm.WeightedPointMeasure(rng.uniform(-1.0, 1.0, (big, dim)),
+                                                np.full(big, 1.0 / big)) for _ in range(2)]
+        rng.shuffle(members)
+        value = mm.min_pairwise_lp(members, metric)
+        assert value == all_pairs_minimum(members, metric)
+        assert value > 0.0
+
+
+def test_min_pairwise_lp_duplicated_member_is_zero():
+    rng = np.random.default_rng(48)
+    members = [random_measure(rng, max_atoms=6) for _ in range(8)]
+    exact = members + [members[3]]
+    nudged = members + [mm.WeightedPointMeasure(members[5].points + 1e-11,
+                                                members[5].weights)]
+    for collection in (exact, nudged):
+        assert mm.min_pairwise_lp(collection) == 0.0 == all_pairs_minimum(collection)
+
+
+def test_min_pairwise_lp_small_collections():
+    assert mm.min_pairwise_lp([]) == np.inf
+    assert mm.min_pairwise_lp([mm.dirac([0.0, 0.0])]) == np.inf
+    with pytest.raises(ValueError):
+        mm.min_pairwise_lp([mm.dirac([0.0]), mm.dirac([0.0, 0.0])])
 
 
 def test_choose_epsilon_needs_distinct_entries():
