@@ -22,8 +22,9 @@ from .measures import (MeasureSet, WeightedPointMeasure, dirac,
                        measure_equal, measure_sets_equal,
                        pushforward_distance_bound)
 from .profiles import (ActionDistance, ProfileSample, SamplingConfig,
-                       action_distance, exact_orbit_profile, one_profile_distance,
-                       orbit_base_family, sample_profile, tuple_law)
+                       action_distance, exact_orbit_profile, hausdorff_terms,
+                       one_profile_distance, orbit_base_family, profile_sets,
+                       sample_profile, tuple_law)
 from .reconstruction import (DegenerateSupportError, MeasureOracle,
                              OrderedSupport, ReconstructionError, choose_epsilon,
                              find_irreducible_vector, is_irreducible,
@@ -59,6 +60,7 @@ __all__ = [
     "find_irreducible_vector",
     "generate_measure",
     "hausdorff_distance",
+    "hausdorff_terms",
     "hom_cycle",
     "hom_star",
     "is_irreducible",
@@ -81,6 +83,7 @@ __all__ = [
     "path_graph",
     "permutation_matrix",
     "perturb",
+    "profile_sets",
     "pushforward_distance_bound",
     "reconstruct",
     "relabel_matrix",

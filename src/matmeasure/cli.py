@@ -18,14 +18,15 @@ import numpy as np
 from .fileio import DIST_CSV_HEADER, dist_csv_row, fmt17, load_measured
 from .graph_props import hom_cycle, hom_star, jacobi_eigh, row_sums_from_measure
 from .matrices import norm_inf_to_1
-from .profiles import SamplingConfig, action_distance, one_profile_distance
+from .profiles import ActionDistance, SamplingConfig, hausdorff_terms, profile_sets
 from .reconstruction import MeasureOracle, reconstruct, switching_witness
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rep", default="adjacency",
                         choices=("adjacency", "kirchhoff", "normalized"),
-                        help="matrix representation for graph inputs")
+                        help="matrix representation of graph inputs; a file read as "
+                             "a matrix is used as it is and takes only adjacency")
     parser.add_argument("--p", default="uniform", dest="weights",
                         help="index weights: uniform, stationary, or a file")
     parser.add_argument("--format", default="auto",
@@ -65,22 +66,16 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     cfg = _config(args)
     id_a, id_b = Path(args.input_a).name, Path(args.input_b).name
     lines = [DIST_CSV_HEADER]
-    ds = one_profile_distance(ma, mb, cfg)
-    lines.append(dist_csv_row(id_a, id_b, 1, ds, 0.0, cfg.count, cfg.seed,
+    terms = hausdorff_terms(profile_sets(ma, cfg), profile_sets(mb, cfg), cfg.metric)
+    lines.append(dist_csv_row(id_a, id_b, 1, terms[0], 0.0, cfg.count, cfg.seed,
                               cfg.mode, args.rep, cfg.metric))
     if cfg.mode == "sampled":
-        dm = action_distance(ma, mb, cfg.kmax, cfg)
+        dm = ActionDistance.from_terms(terms)
         lines.append(dist_csv_row(id_a, id_b, cfg.kmax, dm.value, dm.tail_bound,
                                   cfg.count, cfg.seed, cfg.mode, args.rep,
                                   cfg.metric))
     _emit(lines, args.out)
     return 0
-
-
-def _pair_distance(ma, mb, cfg: SamplingConfig) -> float:
-    if cfg.mode == "sampled":
-        return action_distance(ma, mb, cfg.kmax, cfg).value
-    return one_profile_distance(ma, mb, cfg)
 
 
 def _cmd_dist_matrix(args: argparse.Namespace) -> int:
@@ -100,11 +95,14 @@ def _cmd_dist_matrix(args: argparse.Namespace) -> int:
         raise ValueError("need at least 2 parsable inputs for a distance matrix")
     cfg = _config(args)
     names = [name for name, _ in loaded]
+    sets = [profile_sets(matrix, cfg) for _, matrix in loaded]
     size = len(loaded)
     table = np.zeros((size, size))
     for i in range(size):
         for j in range(i + 1, size):
-            table[i, j] = table[j, i] = _pair_distance(loaded[i][1], loaded[j][1], cfg)
+            terms = hausdorff_terms(sets[i], sets[j], cfg.metric)
+            table[i, j] = table[j, i] = (ActionDistance.from_terms(terms).value
+                                         if cfg.mode == "sampled" else terms[0])
     lines = ["name," + ",".join(names)]
     for i, name in enumerate(names):
         cells = ["0" if i == j else fmt17(table[i, j]) for j in range(size)]

@@ -134,15 +134,16 @@ def load_measured(path: str | Path, rep: str = "adjacency",
 
     ``fmt`` is ``graph``, ``matrix``, or ``auto`` (try matrix, fall back to
     graph).  Graphs are converted through ``rep``; matrix files are used as
-    they are and ``rep`` is ignored for them.  In ``auto`` mode a file that
-    parses both ways is accepted only if the two readings give the same
-    matrix under ``rep``; otherwise a ``ValueError`` asks for ``--format``.
+    they are and refuse any ``rep`` but ``adjacency``.  In ``auto`` mode a
+    file that parses both ways is accepted only if the two readings give the
+    same matrix under ``rep``; otherwise a ``ValueError`` asks for ``--format``.
     """
     path = Path(path)
     text = path.read_text()
     name = path.name
 
     graph: Optional[Graph] = None
+    also_graph: Optional[Graph] = None
     entries: Optional[np.ndarray] = None
     if fmt == "matrix":
         entries = parse_matrix(text, name)
@@ -167,6 +168,9 @@ def load_measured(path: str | Path, rep: str = "adjacency",
         raise ValueError(f"unknown format {fmt!r}")
 
     if entries is not None:
+        if rep != "adjacency" and also_graph is None:
+            raise ValueError(f"{name}: --rep {rep} applies to graph inputs only, and "
+                             f"this file is read as a matrix")
         if weights == "uniform":
             return MeasuredMatrix(entries)
         if weights == "stationary":

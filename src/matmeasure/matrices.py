@@ -59,9 +59,6 @@ class MeasuredMatrix:
         self.entries = a
         self.p = p
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.entries @ x
-
     def __repr__(self) -> str:
         return f"MeasuredMatrix(n={self.n})"
 

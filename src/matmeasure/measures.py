@@ -136,9 +136,6 @@ class WeightedPointMeasure:
         """Weighted mean of the atom locations."""
         return self._mean
 
-    def atoms(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.points[i], float(self.weights[i])) for i in range(self.atom_count)]
-
     def to_text(self) -> str:
         """Serialize as ``d m`` followed by ``w x_1 ... x_d`` lines."""
         lines = [f"{self.dim} {self.atom_count}"]

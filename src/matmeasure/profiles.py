@@ -12,7 +12,10 @@ with two finite stand-ins.  Sampled mode draws a deterministic canonical
 family of test vectors (the distance is then an estimate with uncontrolled
 error sign, so count and seed travel with every result).  Exact-orbit mode
 closes a small base family under all index permutations, which makes the
-distance between a matrix and any relabeling of it exactly zero.
+distance between a matrix and any relabeling of it exactly zero; it has
+the 1-profile only.  Both distances take one path, ``profile_sets`` then
+``hausdorff_terms`` then ``ActionDistance.from_terms``, so a caller that
+needs both, or all pairs of a corpus, builds each profile and term once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .matrices import MeasuredMatrix, orbit_measures
 from .measures import MeasureSet, WeightedPointMeasure, hausdorff_distance
@@ -80,6 +82,36 @@ class ProfileSample:
     mode: str
 
 
+def _first_primes(n: int) -> np.ndarray:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < n:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return np.array(primes)
+
+
+def halton_block(n: int, count: int = HALTON_BLOCK) -> np.ndarray:
+    """The first ``count`` points of the unscrambled Halton sequence in [0, 1)^n.
+
+    Coordinate j of point i is the radical inverse of i in the j-th prime
+    base: the base-p digits of i mirrored about the radix point.  Digits are
+    added least significant first, as ``digit * p^-(position+1)``, which is
+    the order of scipy's ``qmc.Halton(scramble=False)``; an index that has
+    run out of digits adds only +0.0, so the points are the same bits.
+    """
+    bases = _first_primes(n)
+    index = np.repeat(np.arange(count)[:, None], n, axis=1)
+    points = np.zeros((count, n))
+    scale = 1.0 / bases
+    while index.any():
+        index, digit = np.divmod(index, bases)
+        points += digit * scale
+        scale = scale / bases
+    return points
+
+
 def canonical_vector_stream(n: int, seed: int) -> Iterator[np.ndarray]:
     """Deterministic test-vector stream in [-1, 1]^n.
 
@@ -91,8 +123,7 @@ def canonical_vector_stream(n: int, seed: int) -> Iterator[np.ndarray]:
         basis = np.zeros(n)
         basis[i] = 1.0
         yield basis
-    sampler = qmc.Halton(d=n, scramble=False)
-    for row in sampler.random(HALTON_BLOCK):
+    for row in halton_block(n):
         yield 2.0 * row - 1.0
     rng = np.random.default_rng(seed)
     while True:
@@ -172,16 +203,31 @@ def exact_orbit_profile(matrix: MeasuredMatrix,
     return ProfileSample(1, [(v,) for v in normalized], measures, None, "exact_orbit")
 
 
-def _one_profiles(ma: MeasuredMatrix, mb: MeasuredMatrix,
-                  cfg: SamplingConfig) -> tuple[ProfileSample, ProfileSample]:
+def profile_sets(matrix: MeasuredMatrix, cfg: SamplingConfig = SamplingConfig(),
+                 kmax: int | None = None) -> list[MeasureSet]:
+    """Profile measure sets of ``matrix`` for k = 1..kmax under ``cfg``.
+
+    ``kmax`` None means k = 1..cfg.kmax in sampled mode and k = 1 in
+    exact-orbit mode, which has the 1-profile only.
+    """
+    if kmax is None:
+        kmax = 1 if cfg.mode == "exact_orbit" else cfg.kmax
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
     if cfg.mode == "sampled":
-        return (sample_profile(ma, 1, cfg.count, cfg.seed),
-                sample_profile(mb, 1, cfg.count, cfg.seed))
-    if cfg.mode == "exact_orbit":
-        pa = exact_orbit_profile(ma, orbit_base_family(ma.n, cfg.seed))
-        pb = exact_orbit_profile(mb, orbit_base_family(mb.n, cfg.seed))
-        return pa, pb
-    raise ValueError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
+        return [sample_profile(matrix, k, cfg.count, cfg.seed).measures
+                for k in range(1, kmax + 1)]
+    if cfg.mode != "exact_orbit":
+        raise ValueError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
+    if kmax > 1:
+        raise ValueError("k-profiles above k = 1 have no exact-orbit form; use sampled mode")
+    return [exact_orbit_profile(matrix, orbit_base_family(matrix.n, cfg.seed)).measures]
+
+
+def hausdorff_terms(sets_a: Sequence[MeasureSet], sets_b: Sequence[MeasureSet],
+                    metric: str = "euclidean") -> list[float]:
+    """Per-k Hausdorff distances between two ``profile_sets`` lists."""
+    return [hausdorff_distance(a, b, metric) for a, b in zip(sets_a, sets_b, strict=True)]
 
 
 def one_profile_distance(ma: MeasuredMatrix, mb: MeasuredMatrix,
@@ -191,34 +237,29 @@ def one_profile_distance(ma: MeasuredMatrix, mb: MeasuredMatrix,
     An estimate of the full 1-profile distance in sampled mode; exact on the
     chosen base family in exact-orbit mode.
     """
-    pa, pb = _one_profiles(ma, mb, cfg)
-    return hausdorff_distance(pa.measures, pb.measures, cfg.metric)
+    return hausdorff_terms(profile_sets(ma, cfg, 1), profile_sets(mb, cfg, 1), cfg.metric)[0]
 
 
 class ActionDistance(NamedTuple):
     value: float
     tail_bound: float
 
+    @classmethod
+    def from_terms(cls, terms: Sequence[float]) -> "ActionDistance":
+        """2^-k-weighted sum of the terms k = 1..kmax = len(terms), tail 2^-kmax."""
+        total = 0.0
+        for k, term in enumerate(terms, start=1):
+            total += 2.0 ** -k * term
+        return cls(total, 2.0 ** -len(terms))
+
 
 def action_distance(ma: MeasuredMatrix, mb: MeasuredMatrix, kmax: int | None = None,
                     cfg: SamplingConfig = SamplingConfig()) -> ActionDistance:
-    """Truncated action-convergence distance over sampled k-profiles.
+    """Truncated action-convergence distance over k-profiles, k = 1..kmax.
 
-    Sum of 2^-k Hausdorff terms for k = 1..kmax; each dropped term is at most
-    2^-k because the Hausdorff distance is bounded by 1, so the truncation
-    tail is bounded by 2^-kmax.  The k = 1 term uses the same sample family
-    as ``one_profile_distance`` under an equal cfg.
+    ``kmax`` defaults to ``cfg.kmax``.  The k = 1 term is the value of
+    ``one_profile_distance`` under an equal cfg.
     """
-    if kmax is None:
-        kmax = cfg.kmax
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    if cfg.mode != "sampled":
-        raise ValueError("action distance needs sampled mode; k-profiles above "
-                         "k = 1 have no exact-orbit form")
-    total = 0.0
-    for k in range(1, kmax + 1):
-        pa = sample_profile(ma, k, cfg.count, cfg.seed)
-        pb = sample_profile(mb, k, cfg.count, cfg.seed)
-        total += 2.0 ** -k * hausdorff_distance(pa.measures, pb.measures, cfg.metric)
-    return ActionDistance(total, 2.0 ** -kmax)
+    kmax = cfg.kmax if kmax is None else kmax
+    return ActionDistance.from_terms(hausdorff_terms(
+        profile_sets(ma, cfg, kmax), profile_sets(mb, cfg, kmax), cfg.metric))

@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
+import matmeasure as mm
 from matmeasure.cli import main
+from matmeasure.fileio import fmt17, load_measured
 
 
 @pytest.fixture()
@@ -72,6 +74,64 @@ def test_dist_separates_cycle_from_path_and_is_deterministic(inputs, capsys):
     assert first == second
     estimate = float(first.strip().splitlines()[1].split(",")[3])
     assert estimate > 0.0
+
+
+def test_dist_rows_equal_the_library_distances(inputs, capsys):
+    a, b = load_measured(inputs / "c4.graph"), load_measured(inputs / "k3.graph")
+    sampled = mm.SamplingConfig(count=20, seed=9, kmax=2)
+    exact = mm.SamplingConfig(mode="exact_orbit", seed=17)
+    for cfg, flags in ((sampled, ["--samples", "20", "--seed", "9", "--kmax", "2"]),
+                       (exact, ["--mode", "exact_orbit", "--seed", "17"])):
+        assert main(["dist", str(inputs / "c4.graph"), str(inputs / "k3.graph")]
+                    + flags) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows[0][2:4] == ["1", fmt17(mm.one_profile_distance(a, b, cfg))]
+        if cfg.mode == "sampled":
+            dm = mm.action_distance(a, b, 2, cfg)
+            assert rows[1][2:5] == ["2", fmt17(dm.value), fmt17(dm.tail_bound)]
+        assert len(rows) == (2 if cfg.mode == "sampled" else 1)
+
+
+def test_dist_kmax_zero(inputs, capsys):
+    pair = ["dist", str(inputs / "c4.graph"), str(inputs / "p4.graph"), "--kmax", "0"]
+    assert main(pair + ["--samples", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "kmax" in captured.err
+    # Exact-orbit mode has the 1-profile only and does not read --kmax.
+    assert main(pair + ["--mode", "exact_orbit"]) == 0
+
+
+def test_dist_matrix_cells_equal_pairwise_distances(inputs, tmp_path, capsys):
+    corpus = tmp_path / "cells"
+    corpus.mkdir()
+    names = ("c4.graph", "k3.graph", "p4.graph")
+    for name in names:
+        (corpus / name).write_text((inputs / name).read_text())
+    loaded = [load_measured(corpus / name) for name in names]
+    sampled = mm.SamplingConfig(count=15, seed=5, kmax=2)
+    exact = mm.SamplingConfig(mode="exact_orbit", seed=17)
+    for cfg, flags in ((sampled, ["--samples", "15", "--seed", "5", "--kmax", "2"]),
+                       (exact, ["--mode", "exact_orbit", "--seed", "17"])):
+        assert main(["dist-matrix", str(corpus)] + flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "name," + ",".join(names)
+        for i, line in enumerate(lines[1:]):
+            for j, cell in enumerate(line.split(",")[1:]):
+                if i == j:
+                    expected = "0"
+                elif cfg.mode == "sampled":
+                    expected = fmt17(mm.action_distance(loaded[i], loaded[j], cfg=cfg).value)
+                else:
+                    expected = fmt17(mm.one_profile_distance(loaded[i], loaded[j], cfg))
+                assert cell == expected
+
+
+def test_rep_on_matrix_input_exit_code(inputs, capsys):
+    for flags in (["--format", "matrix"], []):
+        assert main(["norm", str(inputs / "ex24.mat"), "--rep", "kirchhoff"]
+                    + flags) == 2
+        assert "--rep" in capsys.readouterr().err
+    assert main(["norm", str(inputs / "ex24.mat"), "--rep", "adjacency"]) == 0
 
 
 def test_dist_matrix_symmetric_with_zero_diagonal(inputs, tmp_path, capsys):

@@ -112,6 +112,23 @@ def test_auto_format_refuses_readings_that_differ(tmp_path):
         fileio.load_measured(agree, rep="kirchhoff")
 
 
+def test_rep_is_refused_for_matrix_readings(tmp_path):
+    matrix_only = tmp_path / "only.mat"
+    matrix_only.write_text("2\n0 2.5\n3 1\n")
+    for fmt in ("matrix", "auto"):
+        for rep in ("kirchhoff", "normalized"):
+            with pytest.raises(ValueError, match="--rep"):
+                fileio.load_measured(matrix_only, rep=rep, fmt=fmt)
+        assert fileio.load_measured(matrix_only, fmt=fmt).entries.tolist() == [[0.0, 2.5],
+                                                                               [3.0, 1.0]]
+    both = tmp_path / "both.txt"
+    both.write_text("2\n0 1\n1 0\n")
+    with pytest.raises(ValueError, match="--rep"):
+        fileio.load_measured(both, rep="kirchhoff", fmt="matrix")
+    assert fileio.load_measured(both, rep="kirchhoff", fmt="graph").entries.tolist() == [
+        [1.0, -1.0], [-1.0, 1.0]]
+
+
 def test_fmt17_is_precise():
     value = 1.0 / 3.0
     assert float(fileio.fmt17(value)) == value
