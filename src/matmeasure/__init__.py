@@ -15,10 +15,9 @@ from .matrices import (Graph, MeasuredMatrix, NormResult, adjacency,
                        complete_graph, cycle_graph, edgeless_graph,
                        generate_measure, kirchhoff, marginal_first,
                        norm_inf_to_1, normalized_laplacian, orbit_measures,
-                       path_graph, permutation_matrix, perturb, relabel_matrix,
-                       star_graph)
+                       path_graph, perturb, relabel_matrix, star_graph)
 from .measures import (MeasureSet, WeightedPointMeasure, dirac,
-                       hausdorff_distance, lp_distance, lp_feasible, lp_oracle,
+                       hausdorff_distance, lp_distance, lp_feasible,
                        measure_equal, measure_sets_equal,
                        pushforward_distance_bound)
 from .profiles import (ActionDistance, ProfileSample, SamplingConfig,
@@ -68,7 +67,6 @@ __all__ = [
     "kirchhoff",
     "lp_distance",
     "lp_feasible",
-    "lp_oracle",
     "marginal_first",
     "max_orbit_vector",
     "measure_equal",
@@ -81,7 +79,6 @@ __all__ = [
     "orbit_measures",
     "ordered_support",
     "path_graph",
-    "permutation_matrix",
     "perturb",
     "profile_sets",
     "pushforward_distance_bound",

@@ -16,53 +16,18 @@ import numpy as np
 from .matrices import Graph, MeasuredMatrix, generate_measure
 from .measures import WeightedPointMeasure
 
-JACOBI_OFF_TOL = 1e-12
-
 _HOM_PATTERN_LIMIT = 6
 _HOM_TARGET_LIMIT = 8
 
 
-def jacobi_eigh(matrix, off_tol: float = JACOBI_OFF_TOL,
-                max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Sweeps rotate away each off-diagonal entry in turn until the off-diagonal
-    Frobenius norm drops below ``off_tol``.  Returns eigenvalues in ascending
-    order with eigenvectors as the matching columns.
+    Only the lower triangle is read.  Returns eigenvalues in ascending order
+    with eigenvectors as the matching columns.  A failed solve raises
+    ``numpy.linalg.LinAlgError``, a ``ValueError``.
     """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), v
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
-        if off < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta >= 0.0 else -1.0
-                t = sign / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    else:
-        raise RuntimeError("Jacobi rotations did not converge")
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues)
-    return eigenvalues[order], v[:, order]
+    return np.linalg.eigh(np.asarray(matrix, dtype=float))
 
 
 def detect_line_support(mu: WeightedPointMeasure, tol: float = 1e-8) -> Optional[float]:
@@ -117,8 +82,9 @@ class CycleHomCount(NamedTuple):
 def hom_cycle(matrix: MeasuredMatrix, k: int) -> CycleHomCount:
     """Homomorphism count of the k-cycle: sum of adjacency eigenvalues^k.
 
-    Eigenvalues come from the Jacobi solver.  ``rounded`` is filled whenever
-    the matrix entries are integral; ``raw`` always carries the float sum.
+    Eigenvalues come from ``jacobi_eigh`` (LAPACK).  ``rounded`` is filled
+    whenever the matrix entries are integral; ``raw`` always carries the
+    float sum.
     """
     if k < 3:
         raise ValueError("a cycle needs at least 3 vertices")

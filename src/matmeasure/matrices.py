@@ -160,11 +160,6 @@ def perturb(x, i: int, d: float, norm_bound: float) -> np.ndarray:
     return shifted
 
 
-def permutation_matrix(sigma: Sequence[int]) -> np.ndarray:
-    """Matrix P with (Px)_i = x_{sigma(i)}."""
-    return np.eye(len(sigma))[np.asarray(sigma, dtype=int)]
-
-
 def relabel_matrix(a: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     """P A P^T for the permutation (Px)_i = x_{sigma(i)}; equals A[sigma][:, sigma]."""
     idx = np.asarray(sigma, dtype=int)

@@ -23,9 +23,9 @@ Two exact kernels evaluate this:
   pairwise support distances, which are the breakpoints of the step
   function F, and a binary search over them finds the exact infimum.
 
-A brute-force subset-enumeration oracle (``lp_oracle``) evaluates the two
-defining inequalities directly over all unions of support atoms and is used
-to cross-check both kernels on small instances.
+The tests cross-check both kernels against a brute-force oracle that
+evaluates the two defining inequalities directly over all unions of support
+atoms.
 
 Semantics note: the enlargement U^eps is taken closed (distance <= eps) and
 the infimum over the finite candidate set is attained, so the returned value
@@ -50,8 +50,6 @@ WEIGHT_SUM_TOL = 1e-12
 MASS_SLACK = 1e-12
 
 METRICS = ("euclidean", "chebyshev")
-
-_ORACLE_MAX_POINTS = 16
 
 # Largest smaller-support atom count served by the subset min-cut kernel.
 # Median time of one exact LP evaluation on uniform planar m-vs-m pairs,
@@ -462,85 +460,6 @@ def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
                 dist = _point_distances(points1[i], points2[j], metric)
                 best = min(best, float(_lp_subsets(dist, weights1[i], weights2[j]).min()))
     return float(best)
-
-
-def _combined_support(mu: WeightedPointMeasure, nu: WeightedPointMeasure):
-    points: list[np.ndarray] = []
-
-    def index_of(p: np.ndarray) -> int:
-        for idx, q in enumerate(points):
-            if np.all(np.abs(p - q) <= ATOM_MERGE_TOL):
-                return idx
-        points.append(p)
-        return len(points) - 1
-
-    idx_mu = [index_of(p) for p in mu.points]
-    idx_nu = [index_of(p) for p in nu.points]
-    w1 = np.zeros(len(points))
-    w2 = np.zeros(len(points))
-    for i, k in enumerate(idx_mu):
-        w1[k] += mu.weights[i]
-    for j, k in enumerate(idx_nu):
-        w2[k] += nu.weights[j]
-    return np.array(points), w1, w2
-
-
-def lp_oracle(mu: WeightedPointMeasure, nu: WeightedPointMeasure,
-              metric: str = "euclidean") -> float:
-    """Direct-definition Levy-Prokhorov distance by subset enumeration.
-
-    For testing only.  Candidate eps values are all pairwise support
-    distances together with all values 1 - (s1 + s2) where s1, s2 range over
-    subset sums of the two weight lists; the least candidate for which both
-    defining inequalities hold over every union of support atoms is
-    returned.  Requires at most 16 distinct support points in total.
-    """
-    _check_pair(mu, nu)
-    points, w1, w2 = _combined_support(mu, nu)
-    k_pts = len(points)
-    if k_pts > _ORACLE_MAX_POINTS:
-        raise ValueError(
-            f"combined support has {k_pts} points; subset enumeration is "
-            f"limited to {_ORACLE_MAX_POINTS}")
-
-    point_dist = _point_distances(points, points, metric)
-    n_masks = 1 << k_pts
-    masks = np.arange(n_masks)
-    eta1 = np.zeros(n_masks)
-    eta2 = np.zeros(n_masks)
-    for k in range(k_pts):
-        sel = (masks >> k) & 1 == 1
-        eta1[sel] += w1[k]
-        eta2[sel] += w2[k]
-
-    sums1 = np.unique(eta1)
-    sums2 = np.unique(eta2)
-    cand = np.concatenate([point_dist.ravel(),
-                           (1.0 - np.add.outer(sums1, sums2)).ravel()])
-    cand = np.unique(cand[(cand >= 0.0) & (cand <= 1.0)])
-    if cand[-1] != 1.0:
-        cand = np.append(cand, 1.0)
-
-    def feasible(eps: float) -> bool:
-        neighborhoods = np.zeros(k_pts, dtype=np.int64)
-        within = point_dist <= eps
-        for k in range(k_pts):
-            neighborhoods[k] = int(np.sum(within[k].astype(np.int64) << masks[:k_pts]))
-        enlarged = np.zeros(n_masks, dtype=np.int64)
-        for k in range(k_pts):
-            enlarged[(masks >> k) & 1 == 1] |= neighborhoods[k]
-        bound = eps + MASS_SLACK
-        return bool(np.all(eta1 <= eta2[enlarged] + bound)
-                    and np.all(eta2 <= eta1[enlarged] + bound))
-
-    lo, hi = 0, len(cand) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(float(cand[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(cand[lo])
 
 
 def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") -> float:

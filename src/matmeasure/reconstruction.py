@@ -16,8 +16,11 @@ procedure implemented here makes that constructive:
    each matrix column from the difference quotient of ordered supports
    between the base and the matching perturbed measure.
 
-All information flows through a ``MeasureOracle`` that answers only with
-ordered supports and orbit sizes, never with the hidden matrix itself.
+Steps 1 and 2 each live in one place, ``_best_vector`` and ``_epsilon``;
+``reconstruct`` feeds them oracle answers, while ``max_orbit_vector`` and
+``choose_epsilon`` run them on a known matrix.  All information flows
+through a ``MeasureOracle`` that answers only with ordered supports (views
+of the orbit measures) and orbit sizes, never with the hidden matrix itself.
 """
 
 from __future__ import annotations
@@ -51,26 +54,36 @@ class ReconstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class OrderedSupport:
-    """Measure on R^2 written as paired vectors with xs strictly increasing."""
+    """A planar measure with strictly increasing first coordinates, read as
+    paired vectors.  ``xs``, ``ys`` and ``weights`` are read-only views of
+    the measure's arrays."""
 
-    xs: np.ndarray
-    ys: np.ndarray
-    weights: np.ndarray
+    measure: WeightedPointMeasure
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.measure.points[:, 0]
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self.measure.points[:, 1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.measure.weights
 
 
 def ordered_support(mu: WeightedPointMeasure) -> OrderedSupport:
     """The unique ordered support of a planar measure with distinct xs."""
     if mu.dim != 2:
         raise ValueError("ordered supports exist for planar measures only")
-    xs = mu.points[:, 0].copy()
-    if np.any(np.diff(xs) <= 0.0):
+    if np.any(np.diff(mu.points[:, 0]) <= 0.0):
         raise DegenerateSupportError("tied first coordinates; support not unique")
-    return OrderedSupport(xs, mu.points[:, 1].copy(), mu.weights.copy())
+    return OrderedSupport(mu)
 
 
 def support_measure(support: OrderedSupport) -> WeightedPointMeasure:
-    return WeightedPointMeasure(np.column_stack((support.xs, support.ys)),
-                                support.weights)
+    return support.measure
 
 
 def permutation_commutator(a: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
@@ -203,9 +216,38 @@ def switching_witness(a, b, tol: float = 1e-9) -> Optional[np.ndarray]:
     return sigma.copy() if assign(0) else None
 
 
+def _best_vector(oracle: MeasureOracle, rng: np.random.Generator,
+                 trials: int) -> np.ndarray:
+    """Best of ``trials`` drawn vectors by orbit size, asked of the oracle.
+
+    Healthy entry gaps (``min_gap=0.3/n``) keep the perturbation scale, and
+    with it the accuracy of the column difference quotients, well
+    conditioned.  Ties go to the vector with the largest smallest gap.
+    """
+    n = oracle.dimension
+    drawn = [_distinct_entry_vector(rng, n, min_gap=0.3 / n)
+             for _ in range(max(1, trials))]
+    sizes = [oracle.orbit_size(x) for x in drawn]
+    largest = max(sizes)
+    return max((x for x, size in zip(drawn, sizes) if size == largest),
+               key=lambda x: float(np.min(np.diff(np.sort(x)))))
+
+
+def _epsilon(v: np.ndarray, orbit, k_bound: float, metric: str = "euclidean") -> float:
+    """sqrt(32 K gap), capped by half the orbit's smallest LP distance."""
+    gaps = np.diff(np.sort(v))
+    if len(gaps) == 0 or np.min(gaps) <= 0.0:
+        raise ValueError("epsilon selection needs pairwise-distinct entries")
+    eps = float(np.sqrt(32.0 * k_bound * float(np.min(gaps))))
+    if len(orbit) < 2:
+        return eps
+    return min(min_pairwise_lp(orbit, metric) / 2.0, eps)
+
+
 def max_orbit_vector(matrix: MeasuredMatrix, trials: int = 20,
                      rng_seed: int = 0) -> np.ndarray:
-    """Best of ``trials`` random distinct-entry vectors by orbit size.
+    """The test vector ``reconstruct`` picks: best of ``trials`` random
+    distinct-entry vectors by orbit size.
 
     For generic vectors the orbit size equals n! divided by the number of
     weight-preserving permutations commuting with the matrix, so the argmax
@@ -214,16 +256,7 @@ def max_orbit_vector(matrix: MeasuredMatrix, trials: int = 20,
     """
     if matrix.n > ORBIT_SEARCH_LIMIT:
         raise ValueError(f"orbit search limited to order {ORBIT_SEARCH_LIMIT}")
-    rng = np.random.default_rng(rng_seed)
-    best_vector = None
-    best_size = -1
-    for _ in range(max(1, trials)):
-        v = _distinct_entry_vector(rng, matrix.n)
-        size = len(orbit_measures(matrix, v))
-        if size > best_size:
-            best_size = size
-            best_vector = v
-    return best_vector
+    return _best_vector(MeasureOracle(matrix), np.random.default_rng(rng_seed), trials)
 
 
 def choose_epsilon(matrix: MeasuredMatrix, v, norm_bound: float | None = None,
@@ -237,18 +270,9 @@ def choose_epsilon(matrix: MeasuredMatrix, v, norm_bound: float | None = None,
     singleton orbit only the ordering condition binds.
     """
     v = np.asarray(v, dtype=float).ravel()
-    gaps = np.diff(np.sort(v))
-    if len(gaps) == 0 or np.min(gaps) <= 0.0:
-        raise ValueError("epsilon selection needs pairwise-distinct entries")
-    gap = float(np.min(gaps))
     k_bound = max(1.0, float(norm_bound) if norm_bound is not None
                   else norm_inf_to_1(matrix).value)
-    eps_order = float(np.sqrt(32.0 * k_bound * gap))
-    orbit = orbit_measures(matrix, v)
-    if len(orbit) < 2:
-        return eps_order
-    separation = min_pairwise_lp(orbit, metric)
-    return min(separation / 2.0, eps_order)
+    return _epsilon(v, orbit_measures(matrix, v), k_bound, metric)
 
 
 class MeasureOracle:
@@ -318,38 +342,22 @@ def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
     rng = np.random.default_rng(rng_seed)
 
     for _ in range(8):  # fresh test vector on degenerate draws
-        # Healthy entry gaps keep the perturbation scale, and with it the
-        # accuracy of the column difference quotients, well conditioned.
-        drawn = [_distinct_entry_vector(rng, n, min_gap=0.3 / n)
-                 for _ in range(max(1, trials))]
-        sizes = [oracle.orbit_size(x) for x in drawn]
-        largest = max(sizes)
-        v = max((x for x, size in zip(drawn, sizes) if size == largest),
-                key=lambda x: float(np.min(np.diff(np.sort(x)))))
-
+        v = _best_vector(oracle, rng, trials)
         try:
             supports = oracle.orbit_supports(v)
         except DegenerateSupportError:
             continue
         base = supports[0]
-        base_measure = support_measure(base)
 
         order = np.argsort(v)
         if not np.array_equal(base.xs, v[order]):
             continue  # non-generic draw; first components must be sorted v
 
-        gap = float(np.min(np.diff(base.xs)))
-        eps = float(np.sqrt(32.0 * k_bound * gap))
-        if len(supports) > 1:
-            separation = min_pairwise_lp(
-                (support_measure(s) for s in supports))
-            eps = min(separation / 2.0, eps)
-
+        eps = _epsilon(v, [s.measure for s in supports], k_bound)
         for _ in range(max_halvings + 1):
             if eps * eps / (64.0 * k_bound) < _MIN_SHIFT:
                 break
-            recovered = _recover_columns(oracle, v, order, base, base_measure,
-                                         eps, k_bound)
+            recovered = _recover_columns(oracle, v, order, base, eps, k_bound)
             if recovered is not None:
                 return recovered
             eps /= 2.0
@@ -359,8 +367,7 @@ def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
 
 
 def _recover_columns(oracle: MeasureOracle, v: np.ndarray, order: np.ndarray,
-                     base: OrderedSupport, base_measure: WeightedPointMeasure,
-                     eps: float, k_bound: float) -> Optional[np.ndarray]:
+                     base: OrderedSupport, eps: float, k_bound: float) -> Optional[np.ndarray]:
     n = len(v)
     shift = eps * eps / (64.0 * k_bound)
     result = np.empty((n, n))
@@ -372,7 +379,7 @@ def _recover_columns(oracle: MeasureOracle, v: np.ndarray, order: np.ndarray,
         except DegenerateSupportError:
             return None
         near = [s for s in supports
-                if lp_feasible(base_measure, support_measure(s), eps / 4.0)]
+                if lp_feasible(base.measure, s.measure, eps / 4.0)]
         if len(near) != 1:
             return None
         partner = near[0]

@@ -1,6 +1,8 @@
 import numpy as np
 
 import matmeasure as mm
+from matmeasure.measures import (ATOM_MERGE_TOL, MASS_SLACK, _check_pair,
+                                 _point_distances)
 
 # 3x3 worked example: row sums (2, 1, 2), commutant of order 2.
 EXAMPLE_A = np.array([[0.0, 1.0, 1.0],
@@ -46,3 +48,89 @@ def all_labeled_graphs(n: int):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for bits in range(1 << len(pairs)):
         yield mm.Graph(n, [pairs[t] for t in range(len(pairs)) if bits >> t & 1])
+
+
+# ---------------------------------------------------------------------------
+# Brute-force LP oracle: the reference path for both LP kernels
+# ---------------------------------------------------------------------------
+
+_ORACLE_MAX_POINTS = 16
+
+
+def _combined_support(mu: mm.WeightedPointMeasure, nu: mm.WeightedPointMeasure):
+    points: list[np.ndarray] = []
+
+    def index_of(p: np.ndarray) -> int:
+        for idx, q in enumerate(points):
+            if np.all(np.abs(p - q) <= ATOM_MERGE_TOL):
+                return idx
+        points.append(p)
+        return len(points) - 1
+
+    idx_mu = [index_of(p) for p in mu.points]
+    idx_nu = [index_of(p) for p in nu.points]
+    w1 = np.zeros(len(points))
+    w2 = np.zeros(len(points))
+    for i, k in enumerate(idx_mu):
+        w1[k] += mu.weights[i]
+    for j, k in enumerate(idx_nu):
+        w2[k] += nu.weights[j]
+    return np.array(points), w1, w2
+
+
+def lp_oracle(mu: mm.WeightedPointMeasure, nu: mm.WeightedPointMeasure,
+              metric: str = "euclidean") -> float:
+    """Direct-definition Levy-Prokhorov distance by subset enumeration.
+
+    Candidate eps values are all pairwise support
+    distances together with all values 1 - (s1 + s2) where s1, s2 range over
+    subset sums of the two weight lists; the least candidate for which both
+    defining inequalities hold over every union of support atoms is
+    returned.  Requires at most 16 distinct support points in total.
+    """
+    _check_pair(mu, nu)
+    points, w1, w2 = _combined_support(mu, nu)
+    k_pts = len(points)
+    if k_pts > _ORACLE_MAX_POINTS:
+        raise ValueError(
+            f"combined support has {k_pts} points; subset enumeration is "
+            f"limited to {_ORACLE_MAX_POINTS}")
+
+    point_dist = _point_distances(points, points, metric)
+    n_masks = 1 << k_pts
+    masks = np.arange(n_masks)
+    eta1 = np.zeros(n_masks)
+    eta2 = np.zeros(n_masks)
+    for k in range(k_pts):
+        sel = (masks >> k) & 1 == 1
+        eta1[sel] += w1[k]
+        eta2[sel] += w2[k]
+
+    sums1 = np.unique(eta1)
+    sums2 = np.unique(eta2)
+    cand = np.concatenate([point_dist.ravel(),
+                           (1.0 - np.add.outer(sums1, sums2)).ravel()])
+    cand = np.unique(cand[(cand >= 0.0) & (cand <= 1.0)])
+    if cand[-1] != 1.0:
+        cand = np.append(cand, 1.0)
+
+    def feasible(eps: float) -> bool:
+        neighborhoods = np.zeros(k_pts, dtype=np.int64)
+        within = point_dist <= eps
+        for k in range(k_pts):
+            neighborhoods[k] = int(np.sum(within[k].astype(np.int64) << masks[:k_pts]))
+        enlarged = np.zeros(n_masks, dtype=np.int64)
+        for k in range(k_pts):
+            enlarged[(masks >> k) & 1 == 1] |= neighborhoods[k]
+        bound = eps + MASS_SLACK
+        return bool(np.all(eta1 <= eta2[enlarged] + bound)
+                    and np.all(eta2 <= eta1[enlarged] + bound))
+
+    lo, hi = 0, len(cand) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(float(cand[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(cand[lo])

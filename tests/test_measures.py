@@ -6,7 +6,7 @@ import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (MASS_SLACK, SUBSET_KERNEL_MAX_ATOMS, _lp_breakpoints,
                                  _lp_subsets, _point_distances)
-from conftest import random_measure, random_weights
+from conftest import lp_oracle, random_measure, random_weights
 
 HALF = 0.5
 
@@ -132,12 +132,12 @@ def test_chebyshev_metric_selectable():
 # ---------------------------------------------------------------------------
 
 def test_oracle_frozen_examples():
-    assert mm.lp_oracle(mm.dirac([0.0, 0.0]), mm.dirac([0.0, 0.0])) == 0.0
-    assert mm.lp_oracle(mm.dirac([0.0, 0.0]), mm.dirac([0.3, 0.0])) == 0.3
+    assert lp_oracle(mm.dirac([0.0, 0.0]), mm.dirac([0.0, 0.0])) == 0.0
+    assert lp_oracle(mm.dirac([0.0, 0.0]), mm.dirac([0.3, 0.0])) == 0.3
     near_far = mm.WeightedPointMeasure([[0.1, 0.0], [10.0, 0.0]], [HALF, HALF])
-    assert mm.lp_oracle(near_far, mm.dirac([0.0, 0.0])) == 0.5
+    assert lp_oracle(near_far, mm.dirac([0.0, 0.0])) == 0.5
     far_far = mm.WeightedPointMeasure([[5.0, 0.0], [10.0, 0.0]], [HALF, HALF])
-    assert mm.lp_oracle(far_far, mm.dirac([0.0, 0.0])) == 1.0
+    assert lp_oracle(far_far, mm.dirac([0.0, 0.0])) == 1.0
 
 
 def test_oracle_rejects_large_supports():
@@ -145,7 +145,7 @@ def test_oracle_rejects_large_supports():
     mu = mm.WeightedPointMeasure(rng.uniform(-1, 1, (10, 2)), np.full(10, 0.1))
     nu = mm.WeightedPointMeasure(rng.uniform(-1, 1, (10, 2)), np.full(10, 0.1))
     with pytest.raises(ValueError):
-        mm.lp_oracle(mu, nu)
+        lp_oracle(mu, nu)
 
 
 def test_oracle_matches_flow_on_random_pairs():
@@ -156,7 +156,7 @@ def test_oracle_matches_flow_on_random_pairs():
         nu = random_measure(rng, scale=scale)
         for metric in mm.measures.METRICS:
             assert abs(mm.lp_distance(mu, nu, metric)
-                       - mm.lp_oracle(mu, nu, metric)) <= 1e-12
+                       - lp_oracle(mu, nu, metric)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_subset_kernel_matches_oracle():
         mu, nu = kernel_pair(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         metric = mm.measures.METRICS[trial % 2]
         kernel, _ = both_kernels(mu, nu, metric)
-        assert abs(kernel - mm.lp_oracle(mu, nu, metric)) <= 1e-12
+        assert abs(kernel - lp_oracle(mu, nu, metric)) <= 1e-12
 
 
 def test_lp_distance_picks_the_kernel_by_support_sizes():

@@ -322,3 +322,82 @@ def test_zero_profile_distance_iff_switching_equivalent_spot():
         d = mm.one_profile_distance(mm.MeasuredMatrix(a), mm.MeasuredMatrix(b), cfg)
         equivalent = mm.switching_witness(a, b) is not None
         assert (d == 0.0) == equivalent
+
+
+# ---------------------------------------------------------------------------
+# pinned reconstructions: the recovered bits and the query log must not move
+# ---------------------------------------------------------------------------
+
+# (order, entries, seed of the hidden matrix and of ``reconstruct``, query
+# kinds as (kind, count) runs, recovered matrix as float.hex rows)
+PINNED_RECONSTRUCTIONS = [
+    (3, "binary", 11, (("orbit_size", 12), ("orbit_supports", 4)), [
+        ["0x0.0p+0", "0x0.0p+0", "0x1.00000000001ffp+0"],
+        ["0x1.00000000001ffp+0", "0x1.00000000001ffp+0", "0x0.0p+0"],
+        ["0x1.00000000001ffp+0", "0x0.0p+0", "0x0.0p+0"]]),
+    (4, "gaussian", 12, (("orbit_size", 12), ("orbit_supports", 5)), [
+        ["-0x1.67981b6fd5e65p-6", "0x1.ff5df3280a04fp-1", "-0x1.b95ab19b2b22ap-4",
+         "0x1.fbc7fbf0ce67ap-2"],
+        ["-0x1.41004eb8a63adp-1", "-0x1.349f755c17f50p+0", "0x1.9e681e5ac23bbp+0",
+         "-0x1.5216fbf6defa5p+0"],
+        ["0x1.7bb17a410d10ap-1", "0x1.0bd00bfb613c0p+0", "-0x1.bf665c4317798p-8",
+         "0x1.72aa6e8c3834fp-1"],
+        ["-0x1.d05adda6f7b3dp-1", "0x1.2d2ffa3701863p-3", "-0x1.e928229ad9820p+0",
+         "0x1.c67feb3be6dc9p+0"]]),
+    (5, "binary", 13, (("orbit_size", 12), ("orbit_supports", 6)), [
+        ["0x1.fffffffffdff9p-1", "0x1.000000000053dp+0", "0x1.fffffffffdff9p-1",
+         "0x1.fffffffffdff9p-1", "0x1.fffffffffdff9p-1"],
+        ["0x0.0p+0", "0x1.000000000053dp+0", "0x1.000000000053dp+0",
+         "0x1.000000000053dp+0", "0x0.0p+0"],
+        ["0x1.fffffffffdff9p-1", "0x0.0p+0", "0x1.fffffffffdff9p-1",
+         "0x1.fffffffffdff9p-1", "0x1.fffffffffdff9p-1"],
+        ["0x1.fffffffffdff9p-1", "0x1.000000000053dp+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.fffffffffdff9p-1"],
+        ["0x0.0p+0", "0x0.0p+0", "0x1.fffffffffdff9p-1", "0x0.0p+0",
+         "0x1.fffffffffdff9p-1"]]),
+    (5, "gaussian", 14, (("orbit_size", 12), ("orbit_supports", 6)), [
+        ["0x1.a88eb04ae2112p-2", "0x1.b1b01793bb627p+0", "0x1.b0cbc16977585p-3",
+         "0x1.7de0f71e84465p-2", "-0x1.ec560ecdfcf8fp-3"],
+        ["-0x1.69b5b13a032f5p-2", "0x1.641b2ad4113e2p-1", "-0x1.f57da360c407ap-1",
+         "-0x1.76656f89e176cp+1", "-0x1.92d043309187bp+0"],
+        ["-0x1.c3a89edf73537p-1", "0x1.3f632198a9331p+0", "0x1.0eee5186c5f23p-5",
+         "0x1.05f2f087b6d63p+0", "0x1.06106b9f1bc28p-1"],
+        ["-0x1.4b2a84a442341p-1", "0x1.d4267be7d2d78p-4", "-0x1.0615135eb3497p-1",
+         "-0x1.10372bde731cap+1", "0x1.568e1c4ae9defp-2"],
+        ["-0x1.d3fa565ae8cbfp-4", "0x1.537e2167fed45p+1", "-0x1.c0fa1e5213e90p-1",
+         "0x1.5eaa95914aa28p+1", "0x1.7e84b1a5aaf15p-2"]]),
+]
+
+
+def pinned_hidden_matrix(n, entries, seed):
+    rng = np.random.default_rng(seed)
+    if entries == "binary":
+        return rng.integers(0, 2, (n, n)).astype(float)
+    return rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("n, entries, seed, runs, rows", PINNED_RECONSTRUCTIONS)
+def test_reconstruct_is_pinned(n, entries, seed, runs, rows):
+    oracle = mm.MeasureOracle(mm.MeasuredMatrix(pinned_hidden_matrix(n, entries, seed)))
+    recovered = mm.reconstruct(oracle, rng_seed=seed)
+    expected = np.array([[float.fromhex(x) for x in row] for row in rows])
+    assert recovered.tobytes() == expected.tobytes()
+    kinds = [kind for kind, _ in oracle.query_log]
+    assert kinds == [kind for kind, count in runs for _ in range(count)]
+
+
+@pytest.mark.parametrize("n, entries, seed", [case[:3] for case in PINNED_RECONSTRUCTIONS])
+def test_max_orbit_vector_is_the_vector_reconstruct_picks(n, entries, seed):
+    matrix = mm.MeasuredMatrix(pinned_hidden_matrix(n, entries, seed))
+    oracle = mm.MeasureOracle(matrix)
+    mm.reconstruct(oracle, trials=12, rng_seed=seed)
+    picked = next(x for kind, x in oracle.query_log if kind == "orbit_supports")
+    assert np.array_equal(mm.max_orbit_vector(matrix, trials=12, rng_seed=seed), picked)
+
+
+def test_reconstruct_round_trip_at_the_irreducible_limit():
+    # One 0/1 matrix at order IRREDUCIBLE_LIMIT = 6: a 720-measure orbit.
+    n = mm.reconstruction.IRREDUCIBLE_LIMIT
+    hidden = np.random.default_rng(61).integers(0, 2, (n, n)).astype(float)
+    recovered = mm.reconstruct(mm.MeasureOracle(mm.MeasuredMatrix(hidden)), rng_seed=61)
+    assert mm.switching_witness(recovered, hidden) is not None
