@@ -230,7 +230,7 @@ def _best_vector(oracle: MeasureOracle, rng: np.random.Generator,
     sizes = [oracle.orbit_size(x) for x in drawn]
     largest = max(sizes)
     return max((x for x, size in zip(drawn, sizes) if size == largest),
-               key=lambda x: float(np.min(np.diff(np.sort(x)))))
+               key=lambda x: float(np.min(np.diff(np.sort(x)), initial=np.inf)))
 
 
 def _epsilon(v: np.ndarray, orbit, k_bound: float, metric: str = "euclidean") -> float:
@@ -333,8 +333,8 @@ def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
     test vector instead.
     """
     n = oracle.dimension
-    if n > IRREDUCIBLE_LIMIT:
-        raise ValueError(f"reconstruction limited to order {IRREDUCIBLE_LIMIT}")
+    if n < 2 or n > IRREDUCIBLE_LIMIT:
+        raise ValueError(f"reconstruction limited to orders 2..{IRREDUCIBLE_LIMIT}")
     if not np.allclose(oracle.weights, np.full(n, 1.0 / n), atol=1e-12):
         raise ValueError("reconstruction requires uniform index weights")
     k_bound = max(1.0, float(norm_bound) if norm_bound is not None

@@ -126,6 +126,11 @@ def test_max_orbit_vector_identity_matrix():
     assert len(mm.orbit_measures(m, v)) == 1
 
 
+def test_max_orbit_vector_order_one():
+    v = mm.max_orbit_vector(mm.MeasuredMatrix([[2.0]]), trials=3, rng_seed=0)
+    assert v.shape == (1,)
+
+
 def test_max_orbit_vector_generic_matrix_fills_the_orbit():
     rng = np.random.default_rng(44)
     m = mm.MeasuredMatrix(rng.standard_normal((3, 3)))
@@ -303,6 +308,11 @@ def test_reconstruct_requires_uniform_weights():
 def test_reconstruct_rejects_large_orders():
     with pytest.raises(ValueError):
         mm.reconstruct(mm.MeasureOracle(mm.MeasuredMatrix(np.eye(7))))
+
+
+def test_reconstruct_rejects_order_one():
+    with pytest.raises(ValueError, match="orders 2"):
+        mm.reconstruct(mm.MeasureOracle(mm.MeasuredMatrix([[2.0]])))
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,6 @@ def main(argv=None) -> int:
                         help="default: run_seconds in the change's BENCHMARK.json")
     parser.add_argument("--workloads", nargs="+",
                         help="default: every workload in the change's BENCHMARK.json")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<PR>.json in --change")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -117,7 +116,7 @@ def main(argv=None) -> int:
                "result": run_bench(sides[side], workload, 1, seconds, 1)}
               for workload in workloads for side in ("parent", "change")]
 
-    out = args.out or args.change / f"BENCH_{args.pr}.json"
+    out = args.change / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({
         "description": (
             f"{args.pairs} alternating parent/change pairs of bench/run.py --seconds "
