@@ -17,7 +17,7 @@ import numpy as np
 
 from .fileio import DIST_CSV_HEADER, dist_csv_row, fmt17, load_measured
 from .graph_props import hom_cycle, hom_star, jacobi_eigh, row_sums_from_measure
-from .matrices import norm_inf_to_1
+from .matrices import MeasuredMatrix, norm_inf_to_1
 from .profiles import ActionDistance, SamplingConfig, hausdorff_terms, profile_sets
 from .reconstruction import MeasureOracle, reconstruct, switching_witness
 
@@ -140,9 +140,9 @@ def _cmd_props(args: argparse.Namespace) -> int:
     if spectrum is not None:
         for lam in spectrum:
             lines.append(f"eigenvalue,,{fmt17(lam)}")
-        degree_multiset = []
-        for value, weight in degrees:
-            degree_multiset.extend([value] * int(round(weight * matrix.n)))
+        uniform = row_sums_from_measure(MeasuredMatrix(matrix.entries))
+        degree_multiset = [value for value, weight in uniform
+                           for _ in range(round(weight * matrix.n))]
         for k in (2, 3, 4):
             lines.append(f"hom_star,{k},{hom_star(degree_multiset, k)}")
         for k in (3, 4, 5):

@@ -29,17 +29,17 @@ class MeasuredMatrix:
 
     Parameters
     ----------
-    entries : array_like, shape (n, n)
+    entries : array_like, shape (n, n), finite
     weights : array_like, shape (n,), optional
-        Strictly positive, summing to 1 within 1e-12.  Defaults to uniform.
+        Finite, strictly positive, summing to 1 within 1e-12.  Defaults to uniform.
     """
 
     __slots__ = ("n", "entries", "p")
 
     def __init__(self, entries, weights=None):
         a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("entries must form a square matrix")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite and form a square matrix")
         n = a.shape[0]
         if n == 0:
             raise ValueError("matrix order must be positive")
@@ -49,8 +49,8 @@ class MeasuredMatrix:
             p = np.array(weights, dtype=float).ravel()
             if p.shape[0] != n:
                 raise ValueError("weight vector length must equal the matrix order")
-            if np.any(p <= 0.0):
-                raise ValueError("index weights must be strictly positive")
+            if not np.all((p > 0.0) & (p < np.inf)):
+                raise ValueError("index weights must be finite and strictly positive")
             if abs(float(p.sum()) - 1.0) > PROB_TOL:
                 raise ValueError("index weights must sum to 1")
         a.setflags(write=False)

@@ -15,8 +15,9 @@ distances from S to the atoms of nu, and the distance is the largest g_S.
 Two exact kernels evaluate this:
 
 * the subset min-cut kernel (``_lp_subsets``) enumerates all 2^m subsets of
-  the smaller support with numpy, for one pair or, in ``min_pairwise_lp``,
-  for a batch of pairs.  It runs whenever the smaller support has at most
+  the smaller support with numpy, for one pair or for a batch of pairs in
+  ``_pair_lp``, the one all-pairs path behind ``hausdorff_distance`` and
+  ``min_pairwise_lp``.  It runs whenever the smaller support has at most
   ``SUBSET_KERNEL_MAX_ATOMS`` atoms, the measured crossover, and the subset
   table fits in ``_SUBSET_TABLE_MAX_CELLS`` cells;
 * above that, Dinic max flow (``flows.bipartite_max_flow``) runs at the
@@ -25,7 +26,7 @@ Two exact kernels evaluate this:
 
 The tests cross-check both kernels against a brute-force oracle that
 evaluates the two defining inequalities directly over all unions of support
-atoms.
+atoms, and the pruned Hausdorff search against the full distance table.
 
 Semantics note: the enlargement U^eps is taken closed (distance <= eps) and
 the infimum over the finite candidate set is attained, so the returned value
@@ -60,8 +61,8 @@ SUBSET_KERNEL_MAX_ATOMS = 10
 # Cap on one pair's subset table, 2^m_small * m_large cells, which keeps
 # the kernel's three table-sized arrays under 32 MB; larger pairs use Dinic.
 _SUBSET_TABLE_MAX_CELLS = 1 << 20
-# Subset-table cells per chunk of pairs in min_pairwise_lp, which keeps the
-# kernel's temporaries near 1 MB.
+# Subset-table cells per chunk of pairs in _pair_lp, which keeps the kernel's
+# temporaries near 1 MB.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -417,49 +418,61 @@ def lp_distance(mu: WeightedPointMeasure, nu: WeightedPointMeasure,
     return _lp_breakpoints(dist, mu.weights, nu.weights)
 
 
-def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
-    """Smallest LP distance between distinct members of a collection.
+def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str):
+    """LP distances between pairs of ``members``, batched by atom counts.
 
-    Equal, bit for bit, to the minimum of ``lp_distance`` over all pairs.
-    The members are ranked once by its canonical key, so every pair is
-    oriented the way ``lp_distance`` orients it.  Pairs with the same two
-    atom counts go through the subset kernel together, in chunks of about
-    ``_CHUNK_CELLS`` table cells.  A pair that ``measure_equal`` holds
-    gives 0.0; pairs too large for the kernel use ``lp_distance``.
+    Returns ``lp(i, j)``: for index arrays ``i``, ``j`` into ``members`` (or
+    one scalar; i != j), those pairs' LP distances, each bit for bit what
+    ``lp_distance`` returns.  A pair is oriented by canonical rank, the way
+    ``lp_distance`` orients it; pairs with the same two atom counts share
+    subset-kernel calls in chunks of about ``_CHUNK_CELLS`` table cells.
+    Equal pairs (``measure_equal``) give 0.0; pairs too big for the kernel call ``lp_distance``.
     """
-    members = sorted(measures, key=_canonical_key)
-    if len({mu.dim for mu in members}) > 1:
-        raise ValueError("all measures must share a dimension")
-    groups: dict[int, list[WeightedPointMeasure]] = {}
-    for mu in members:
-        groups.setdefault(mu.atom_count, []).append(mu)
-    stacks = {m: tuple(np.stack([getattr(mu, name) for mu in group])
-                       for name in ("points", "weights", "_key"))
-              for m, group in groups.items()}
-    counts = sorted(groups)
-    best = np.inf
-    for x, m1 in enumerate(counts):
-        for m2 in counts[x:]:
-            first, second = groups[m1], groups[m2]
-            if m1 == m2:
-                rows, cols = np.triu_indices(len(first), 1)
-            else:
-                rows, cols = np.divmod(np.arange(len(first) * len(second)), len(second))
-            if not _uses_subset_kernel(m1, m2):
-                for i, j in zip(rows.tolist(), cols.tolist()):
-                    best = min(best, lp_distance(first[i], second[j], metric))
+    if len(dims := {mu.dim for mu in members}) > 1:
+        raise ValueError(f"measures must share a dimension; found {sorted(dims)}")
+    rank = np.argsort(sorted(range(len(members)), key=lambda k: _canonical_key(members[k])))
+    counts = np.array([mu.atom_count for mu in members], dtype=np.intp)
+    slot = np.empty(len(members), dtype=np.intp)
+    # A member's canonical key holds its points, and its weights in the last column.
+    keys = {}
+    for m in set(counts.tolist()):
+        group = np.flatnonzero(counts == m)
+        slot[group] = np.arange(len(group))
+        keys[m] = np.stack([members[k]._key for k in group])
+
+    def lp(i, j) -> np.ndarray:
+        swap = rank[j] < rank[i]
+        first, second = np.where(swap, j, i), np.where(swap, i, j)
+        out = np.empty(len(first))
+        m1, m2 = counts[first], counts[second]
+        for a, b in set(zip(m1.tolist(), m2.tolist())):
+            pairs = ((m1 == a) & (m2 == b)).nonzero()[0]
+            if not _uses_subset_kernel(a, b):
+                out[pairs] = [lp_distance(members[p], members[q], metric)
+                              for p, q in zip(first[pairs].tolist(), second[pairs].tolist())]
                 continue
-            points1, weights1, keys = stacks[m1]
-            points2, weights2, _ = stacks[m2]
-            step = max(1, _CHUNK_CELLS // (m2 << m1))
-            for start in range(0, len(rows), step):
-                i, j = rows[start:start + step], cols[start:start + step]
-                if m1 == m2 and np.any(np.all(np.abs(keys[i] - keys[j]) <= SET_DEDUP_TOL,
-                                              axis=(1, 2))):
-                    return 0.0
-                dist = _point_distances(points1[i], points2[j], metric)
-                best = min(best, float(_lp_subsets(dist, weights1[i], weights2[j]).min()))
-    return float(best)
+            step = max(1, _CHUNK_CELLS // (b << a))
+            for start in range(0, len(pairs), step):
+                chunk = pairs[start:start + step]
+                key1, key2 = keys[a][slot[first[chunk]]], keys[b][slot[second[chunk]]]
+                if a == b:
+                    equal = (np.abs(key1 - key2) <= SET_DEDUP_TOL).all(axis=(1, 2))
+                    out[chunk[equal]] = 0.0
+                    chunk, key1, key2 = chunk[~equal], key1[~equal], key2[~equal]
+                if len(chunk):
+                    dist = _point_distances(key1[..., :-1], key2[..., :-1], metric)
+                    out[chunk] = _lp_subsets(dist, key1[..., -1], key2[..., -1])
+        return out
+
+    return lp
+
+
+def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
+    """Smallest LP distance between distinct members of a collection: bit for
+    bit the minimum of ``lp_distance`` over all pairs."""
+    members = list(measures)
+    rows, cols = np.triu_indices(len(members), 1)
+    return float(_pair_lp(members, metric)(rows, cols).min(initial=np.inf))
 
 
 def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") -> float:
@@ -467,42 +480,36 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
 
     Exact max of the two directed sup-inf values.  The inner minimum search
     is pruned: candidates are visited in order of proximity of weighted atom
-    means, and the scan stops once the running minimum cannot raise the
-    directed maximum.
+    means, in blocks of 1, 2, 4, ..., and the scan stops once the running
+    minimum cannot raise the directed maximum.  Both directions share one
+    table of evaluated pairs.
     """
     if len(x) == 0 or len(y) == 0:
         raise ValueError("Hausdorff distance needs nonempty measure sets")
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    members = x.members + y.members
+    lp = _pair_lp(members, metric)
+    means = np.stack([mu.mean for mu in members])
+    table = np.full((len(x), len(y)), np.nan)
 
-    means_x = np.stack([m.mean for m in x.members])
-    means_y = np.stack([m.mean for m in y.members])
-    memo: dict[tuple[int, int], float] = {}
-
-    def dist(i: int, j: int) -> float:
-        key = (i, j)
-        if key not in memo:
-            memo[key] = lp_distance(x.members[i], y.members[j], metric)
-        return memo[key]
-
-    def directed(members_a, means_a, means_b, lookup) -> float:
-        cmax = 0.0
-        for i in range(len(members_a)):
-            proximity = np.linalg.norm(means_b - means_a[i], axis=1)
+    def directed(table, rows, cols) -> float:
+        cmax, means_b = 0.0, means[cols]
+        for i, row in zip(rows.tolist(), table):
+            order = np.argsort(np.linalg.norm(means_b - means[i], axis=1), kind="stable")
             best = np.inf
-            for j in np.argsort(proximity, kind="stable"):
-                d = lookup(i, int(j))
-                if d < best:
-                    best = d
-                    if best <= cmax:
-                        break
-            if best > cmax:
-                cmax = best
+            start, size = 0, 1
+            while best > cmax and start < len(order):
+                block = order[start:start + size]
+                todo = block[np.isnan(row[block])]
+                if len(todo):
+                    row[todo] = lp(i, cols[todo])
+                best = min(best, float(row[block].min()))
+                start, size = start + size, 2 * size
+            cmax = max(cmax, best)
         return cmax
 
-    forward = directed(x.members, means_x, means_y, dist)
-    backward = directed(y.members, means_y, means_x, lambda i, j: dist(j, i))
-    return max(forward, backward)
+    # The backward pass reads the transpose, so each pair is evaluated once.
+    in_x, in_y = np.arange(len(x)), np.arange(len(x), len(members))
+    return max(directed(table, in_x, in_y), directed(table.T, in_y, in_x))
 
 
 def pushforward_distance_bound(x_values: Sequence, y_values: Sequence,

@@ -50,6 +50,13 @@ def all_labeled_graphs(n: int):
         yield mm.Graph(n, [pairs[t] for t in range(len(pairs)) if bits >> t & 1])
 
 
+def hausdorff_reference(x: mm.MeasureSet, y: mm.MeasureSet, metric: str = "euclidean") -> float:
+    """Unpruned Hausdorff distance: the full ``lp_distance`` table, then the
+    larger of the largest row minimum and the largest column minimum."""
+    table = np.array([[mm.lp_distance(a, b, metric) for b in y] for a in x])
+    return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
+
+
 # ---------------------------------------------------------------------------
 # Brute-force LP oracle: the reference path for both LP kernels
 # ---------------------------------------------------------------------------

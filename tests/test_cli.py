@@ -201,6 +201,38 @@ def test_ambiguous_auto_format_exit_code(inputs, capsys):
     assert all(float(row.split(",")[3]) == 0.0 for row in rows)
 
 
+@pytest.mark.parametrize("entries, weights", [
+    ("0 1 1\n0 1 0\n1 1 0\n", "nan 0.5 0.5\n"),
+    ("0 nan 1\n0 1 0\n1 1 0\n", None),
+    ("0 inf 1\n0 1 0\n1 1 0\n", None),
+], ids=["nan-weight", "nan-entry", "inf-entry"])
+def test_non_finite_input_exit_code(tmp_path, capsys, entries, weights):
+    (tmp_path / "a.mat").write_text("3\n" + entries)
+    argv = ["norm", str(tmp_path / "a.mat")]
+    if weights is not None:
+        (tmp_path / "w.txt").write_text(weights)
+        argv += ["--p", str(tmp_path / "w.txt")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+def test_props_star_counts_ignore_the_weights(tmp_path, capsys):
+    graphs = {"star": (mm.star_graph(4), "0.1 0.2 0.3 0.4"),
+              "p5": (mm.path_graph(5), "0.1 0.1 0.2 0.2 0.4")}
+    for name, (graph, weight_text) in graphs.items():
+        path = tmp_path / f"{name}.graph"
+        path.write_text(f"{graph.n}\n" + "".join(f"{u} {v}\n" for u, v in graph.edges))
+        (tmp_path / "w.txt").write_text(weight_text)
+        expected = [f"hom_star,{k},{mm.count_homomorphisms(mm.star_graph(k), graph)}"
+                    for k in (2, 3, 4)]
+        for weights in ("uniform", "stationary", str(tmp_path / "w.txt")):
+            assert main(["props", str(path), "--format", "graph", "--p", weights]) == 0
+            rows = capsys.readouterr().out.splitlines()
+            assert [row for row in rows if row.startswith("hom_star")] == expected
+
+
 def test_module_entry_point(inputs):
     proc = subprocess.run(
         [sys.executable, "-m", "matmeasure", "norm", str(inputs / "ex24.mat")],

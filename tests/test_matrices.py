@@ -19,6 +19,17 @@ def test_measured_matrix_validation():
     assert m.p.tolist() == [1 / 3] * 3
 
 
+def test_measured_matrix_rejects_non_finite_entries_and_weights():
+    for bad in (np.nan, np.inf, -np.inf):
+        entries = np.eye(3)
+        entries[0, 1] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            mm.MeasuredMatrix(entries)
+        for weights in ([bad, 0.5, 0.5], [0.5, 0.5, bad]):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                mm.MeasuredMatrix(np.eye(3), weights)
+
+
 # ---------------------------------------------------------------------------
 # generate_measure / marginal
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (MASS_SLACK, SUBSET_KERNEL_MAX_ATOMS, _lp_breakpoints,
                                  _lp_subsets, _point_distances)
-from conftest import lp_oracle, random_measure, random_weights
+from conftest import (four_vertex_classes, hausdorff_reference, lp_oracle,
+                      random_measure, random_weights)
 
 HALF = 0.5
 
@@ -359,6 +360,78 @@ def test_hausdorff_dimension_mismatch():
     y = mm.MeasureSet.from_measures([mm.dirac([0.0, 0.0])])
     with pytest.raises(ValueError):
         mm.hausdorff_distance(x, y)
+
+
+def pruned_equals_reference(x, y, metric):
+    d = mm.hausdorff_distance(x, y, metric)
+    assert d == hausdorff_reference(x, y, metric)
+    assert d == mm.hausdorff_distance(y, x, metric)
+    return d
+
+
+def graph_without_isolated_vertices(rng, n):
+    chords = [(i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < 0.4]
+    return mm.Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)] + chords)
+
+
+@pytest.mark.parametrize("metric", mm.measures.METRICS)
+def test_hausdorff_equals_unpruned_reference_on_sampled_profiles(metric):
+    rng = np.random.default_rng(13)
+    cfg = mm.SamplingConfig(count=12, seed=5, kmax=3)
+    for n_a, n_b in ((5, 6), (7, 8), (8, 5)):
+        graph_a = graph_without_isolated_vertices(rng, n_a)
+        graph_b = graph_without_isolated_vertices(rng, n_b)
+        for rep in (mm.adjacency, mm.normalized_laplacian):
+            for x, y in zip(mm.profile_sets(rep(graph_a), cfg),
+                            mm.profile_sets(rep(graph_b), cfg), strict=True):
+                assert pruned_equals_reference(x, y, metric) > 0.0
+
+
+@pytest.mark.parametrize("metric", mm.measures.METRICS)
+def test_hausdorff_equals_unpruned_reference_on_exact_orbits(metric):
+    rng = np.random.default_rng(14)
+    cfg = mm.SamplingConfig(mode="exact_orbit", seed=17)
+    sets = {}
+    for name, graph in four_vertex_classes().items():
+        matrix = mm.adjacency(graph)
+        relabeled = mm.MeasuredMatrix(mm.relabel_matrix(matrix.entries, rng.permutation(4)))
+        (sets[name],) = mm.profile_sets(matrix, cfg)
+        assert pruned_equals_reference(sets[name], *mm.profile_sets(relabeled, cfg),
+                                       metric) == 0.0
+    names = list(sets)
+    for a, b in zip(names, names[1:]):
+        assert pruned_equals_reference(sets[a], sets[b], metric) > 0.0
+
+
+def random_measure_sets(rng, dim):
+    """Two sets of mixed atom counts that share some members.  Each also
+    holds a member above the subset-kernel crossover, the two close to each
+    other, so the Dinic path runs too."""
+    x = [random_measure(rng, dim, max_atoms=6, scale=float(rng.choice([0.2, 1.0])))
+         for _ in range(int(rng.integers(1, 10)))]
+    y = [random_measure(rng, dim, max_atoms=6, scale=float(rng.choice([0.2, 1.0])))
+         for _ in range(int(rng.integers(1, 10)))]
+    y += [mu for mu in x if rng.random() < 0.3]
+    big = SUBSET_KERNEL_MAX_ATOMS + 1 + int(rng.integers(0, 3))
+    points, weights = rng.uniform(-1.0, 1.0, (big, dim)), random_weights(rng, big)
+    x.append(mm.WeightedPointMeasure(points, weights))
+    y.append(mm.WeightedPointMeasure(points + rng.uniform(-0.05, 0.05, points.shape), weights))
+    return mm.MeasureSet.from_measures(x), mm.MeasureSet.from_measures(y)
+
+
+@pytest.mark.parametrize("metric", mm.measures.METRICS)
+def test_hausdorff_equals_unpruned_reference_on_mixed_atom_counts(metric):
+    rng = np.random.default_rng(15)
+    for trial in range(20):
+        pruned_equals_reference(*random_measure_sets(rng, 1 + trial % 3), metric)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_hausdorff_equals_unpruned_reference_property(seed):
+    rng = np.random.default_rng(seed)
+    x, y = random_measure_sets(rng, int(rng.integers(1, 4)))
+    pruned_equals_reference(x, y, mm.measures.METRICS[seed % 2])
 
 
 # ---------------------------------------------------------------------------
