@@ -28,7 +28,7 @@ from .reconstruction import (DegenerateSupportError, MeasureOracle,
                              OrderedSupport, ReconstructionError, choose_epsilon,
                              find_irreducible_vector, is_irreducible,
                              max_orbit_vector, min_pairwise_lp, ordered_support,
-                             reconstruct, support_measure, switching_witness)
+                             reconstruct, switching_witness)
 
 __version__ = "0.1.0"
 
@@ -87,7 +87,6 @@ __all__ = [
     "row_sums_from_measure",
     "sample_profile",
     "star_graph",
-    "support_measure",
     "switching_witness",
     "tuple_law",
 ]

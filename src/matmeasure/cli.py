@@ -4,7 +4,7 @@ Subcommands: ``dist`` (profile distances between two inputs), ``dist-matrix``
 (pairwise distance matrix over a directory), ``reconstruct`` (recover a
 matrix from its own measure oracle), ``props`` (degree/spectrum/homomorphism
 table), ``norm`` (operator norm).  Exit codes: 0 success, 1 I/O errors,
-2 domain errors.
+2 domain errors and inputs too large for memory.
 """
 
 from __future__ import annotations
@@ -219,6 +219,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
 
 

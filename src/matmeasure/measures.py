@@ -69,9 +69,10 @@ _CHUNK_CELLS = 1 << 15
 class WeightedPointMeasure:
     """Probability measure with finitely many atoms in R^d.
 
-    Atoms are canonicalized at construction: points coinciding componentwise
-    within ``ATOM_MERGE_TOL`` are merged (weights summed) and the remaining
-    atoms are sorted lexicographically by coordinates, which makes equality
+    Atoms are canonicalized at construction: they are sorted
+    lexicographically by coordinates, and each sorted atom within
+    ``ATOM_MERGE_TOL`` componentwise of the first atom of its run is merged
+    into that atom (weights added in sorted order).  This makes equality
     testing deterministic and order-insensitive.
 
     Parameters
@@ -102,24 +103,23 @@ class WeightedPointMeasure:
             raise ValueError(f"atom weights sum to {total!r}, expected 1")
 
         order = np.lexsort(pts.T[::-1])
-        pts = pts[order]
-        w = w[order]
-
-        merged_pts = [pts[0]]
-        merged_w = [w[0]]
-        for r in range(1, len(w)):
-            if np.all(np.abs(pts[r] - merged_pts[-1]) <= ATOM_MERGE_TOL):
-                merged_w[-1] += w[r]
-            else:
-                merged_pts.append(pts[r])
-                merged_w.append(w[r])
-
-        self.points = np.array(merged_pts, dtype=float)
-        self.weights = np.array(merged_w, dtype=float)
+        key = np.column_stack((pts, w))[order]
+        # With no two touching neighbours, each atom is the first of its run.
+        if (np.abs(np.diff(key[:, :-1], axis=0)) <= ATOM_MERGE_TOL).all(axis=1).any():
+            firsts = [0]
+            for r in range(1, len(key)):
+                if np.all(np.abs(key[r, :-1] - key[firsts[-1], :-1]) <= ATOM_MERGE_TOL):
+                    key[firsts[-1], -1] += key[r, -1]
+                else:
+                    firsts.append(r)
+            key = key[firsts]
+        key.setflags(write=False)
+        self._key = key
+        # Contiguous copies: the mean's bits depend on the operands' layout.
+        self.points = np.ascontiguousarray(key[:, :-1])
+        self.weights = np.ascontiguousarray(key[:, -1])
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
-        self._key = np.column_stack((self.points, self.weights))
-        self._key.setflags(write=False)
         self._mean = self.weights @ self.points
 
     @property
@@ -179,28 +179,6 @@ def measure_equal(mu: WeightedPointMeasure, nu: WeightedPointMeasure,
     return bool(np.all(np.abs(mu._key - nu._key) <= tol))
 
 
-class _Bucket:
-    """Growable stack of canonical key arrays with one atom count."""
-
-    def __init__(self, shape: tuple[int, int]):
-        self.data = np.empty((4,) + shape)
-        self.k = 0
-
-    def matches(self, key: np.ndarray, tol: float) -> bool:
-        if self.k == 0:
-            return False
-        close = np.abs(self.data[: self.k] - key) <= tol
-        return bool(close.all(axis=(1, 2)).any())
-
-    def add(self, key: np.ndarray) -> None:
-        if self.k == len(self.data):
-            grown = np.empty((2 * self.k,) + self.data.shape[1:])
-            grown[: self.k] = self.data
-            self.data = grown
-        self.data[self.k] = key
-        self.k += 1
-
-
 class MeasureSet:
     """Deduplicated finite collection of same-dimension measures.
 
@@ -217,30 +195,32 @@ class MeasureSet:
     @classmethod
     def from_measures(cls, measures: Iterable[WeightedPointMeasure],
                       tol: float = SET_DEDUP_TOL) -> "MeasureSet":
-        members: list[WeightedPointMeasure] = []
-        buckets: dict[int, _Bucket] = {}
-        exact: set[bytes] = set()
-        dim = None
+        # A bitwise repeat goes with its first copy, or after it.
+        first: dict[tuple, WeightedPointMeasure] = {}
         for mu in measures:
-            if dim is None:
-                dim = mu.dim
-            elif mu.dim != dim:
-                raise ValueError("all members of a measure set must share a dimension")
-            raw = mu._key.tobytes()
-            if raw in exact:
-                continue
-            bucket = buckets.get(mu.atom_count)
-            if bucket is None:
-                bucket = _Bucket(mu._key.shape)
-                buckets[mu.atom_count] = bucket
-            if bucket.matches(mu._key, tol):
-                continue
-            exact.add(raw)
-            bucket.add(mu._key)
-            members.append(mu)
-        if dim is None:
+            first.setdefault((mu._key.shape, mu._key.tobytes()), mu)
+        if not first:
             raise ValueError("a measure set needs at least one measure")
-        return cls(dim, tuple(members))
+        distinct = list(first.values())
+        dim = distinct[0].dim
+        if any(mu.dim != dim for mu in distinct):
+            raise ValueError("all members of a measure set must share a dimension")
+        kept = np.zeros(len(distinct), dtype=bool)
+        for m in {mu.atom_count for mu in distinct}:
+            group = [i for i, mu in enumerate(distinct) if mu.atom_count == m]
+            stack = np.empty((len(group), m, dim + 1))
+            # Reused buffers: a fresh temporary per insert page-faults once large.
+            work = np.empty_like(stack)
+            close = np.empty(stack.shape, dtype=bool)
+            k = 0
+            for i in group:
+                key = distinct[i]._key
+                gap = np.abs(np.subtract(stack[:k], key, out=work[:k]), out=work[:k])
+                if not np.less_equal(gap, tol, out=close[:k]).all(axis=(1, 2)).any():
+                    stack[k] = key
+                    k += 1
+                    kept[i] = True
+        return cls(dim, tuple(mu for mu, keep in zip(distinct, kept) if keep))
 
     def contains(self, mu: WeightedPointMeasure, tol: float = SET_DEDUP_TOL) -> bool:
         return any(measure_equal(mu, member, tol) for member in self.members

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .matrices import MeasuredMatrix, orbit_measures
+from .matrices import MeasuredMatrix, generate_measure, permutations_preserving
 from .measures import MeasureSet, WeightedPointMeasure, hausdorff_distance
 
 MODES = ("sampled", "exact_orbit")
@@ -188,18 +188,18 @@ def exact_orbit_profile(matrix: MeasuredMatrix,
 
     Each base vector is replaced by its sorted-entry normalization before the
     orbit is expanded; the orbit only depends on the entry multiset, and the
-    normalization makes relabeled matrices produce identical profiles.
+    normalization makes relabeled matrices produce identical profiles.  The
+    measures of all orbits are deduplicated together, in base-vector order.
     """
     if matrix.n > EXACT_ORBIT_LIMIT:
         raise ValueError(
             f"order {matrix.n} exceeds the exact-orbit limit {EXACT_ORBIT_LIMIT}")
     normalized = [np.sort(np.asarray(v, dtype=float).ravel()) for v in base_vectors]
-    collected: list[WeightedPointMeasure] = []
-    for v in normalized:
-        if v.shape[0] != matrix.n:
-            raise ValueError("base vector length must equal the matrix order")
-        collected.extend(orbit_measures(matrix, v))
-    measures = MeasureSet.from_measures(collected)
+    if any(v.shape[0] != matrix.n for v in normalized):
+        raise ValueError("base vector length must equal the matrix order")
+    sigmas = list(permutations_preserving(matrix.p))
+    measures = MeasureSet.from_measures(
+        generate_measure(matrix, v[sigma]) for v in normalized for sigma in sigmas)
     return ProfileSample(1, [(v,) for v in normalized], measures, None, "exact_orbit")
 
 

@@ -82,10 +82,6 @@ def ordered_support(mu: WeightedPointMeasure) -> OrderedSupport:
     return OrderedSupport(mu)
 
 
-def support_measure(support: OrderedSupport) -> WeightedPointMeasure:
-    return support.measure
-
-
 def permutation_commutator(a: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     """PA - AP for the permutation acting as (Px)_i = x_{sigma(i)}.
 

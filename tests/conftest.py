@@ -1,7 +1,7 @@
 import numpy as np
 
 import matmeasure as mm
-from matmeasure.measures import (ATOM_MERGE_TOL, MASS_SLACK, _check_pair,
+from matmeasure.measures import (ATOM_MERGE_TOL, MASS_SLACK, SET_DEDUP_TOL, _check_pair,
                                  _point_distances)
 
 # 3x3 worked example: row sums (2, 1, 2), commutant of order 2.
@@ -55,6 +55,17 @@ def hausdorff_reference(x: mm.MeasureSet, y: mm.MeasureSet, metric: str = "eucli
     larger of the largest row minimum and the largest column minimum."""
     table = np.array([[mm.lp_distance(a, b, metric) for b in y] for a in x])
     return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
+
+
+def measure_set_reference(measures, tol: float = SET_DEDUP_TOL) -> list:
+    """Greedy dedup by hand: keep each measure unless ``measure_equal`` holds
+    for it and a member with the same atom count kept before it."""
+    kept: list = []
+    for mu in measures:
+        if not any(nu.atom_count == mu.atom_count and mm.measure_equal(mu, nu, tol)
+                   for nu in kept):
+            kept.append(mu)
+    return kept
 
 
 # ---------------------------------------------------------------------------

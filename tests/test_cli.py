@@ -185,6 +185,19 @@ def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["norm", str(tmp_path / "absent.mat")]) == 1
 
 
+@pytest.mark.parametrize("command", ["norm", "dist"])
+def test_oversized_graph_exit_code(tmp_path, capsys, command):
+    # 10^8 vertices need a 71 PiB adjacency matrix: the allocation fails
+    # before any memory is touched.
+    big = tmp_path / "big.graph"
+    big.write_text("100000000\n0 1\n")
+    paths = [str(big)] * (2 if command == "dist" else 1)
+    assert main([command, *paths, "--format", "graph"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_domain_error_exit_code(inputs, capsys):
     assert main(["norm", str(inputs / "ex24.mat"), "--p", "stationary"]) == 2
 

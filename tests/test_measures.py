@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
-from matmeasure.measures import (MASS_SLACK, SUBSET_KERNEL_MAX_ATOMS, _lp_breakpoints,
-                                 _lp_subsets, _point_distances)
+from matmeasure.measures import (MASS_SLACK, SET_DEDUP_TOL, SUBSET_KERNEL_MAX_ATOMS,
+                                 _lp_breakpoints, _lp_subsets, _point_distances)
 from conftest import (four_vertex_classes, hausdorff_reference, lp_oracle,
-                      random_measure, random_weights)
+                      measure_set_reference, random_measure, random_weights)
 
 HALF = 0.5
 
@@ -25,6 +25,15 @@ def test_coinciding_atoms_merged():
     mu = mm.WeightedPointMeasure([[1.0, 2.0], [1.0 + 1e-13, 2.0], [0.0, 0.0]],
                                  [0.25, 0.25, 0.5])
     assert mu.atom_count == 2
+    assert mu.weights.tolist() == [0.5, 0.5]
+
+
+def test_atoms_merge_into_the_first_atom_of_their_run():
+    # The third atom is within 1e-12 of the second but not of the first, so
+    # it starts a new run; merging neighbours would give one atom.
+    mu = mm.WeightedPointMeasure([[0.0, 0.0], [0.7e-12, 0.0], [1.4e-12, 0.0]],
+                                 [0.2, 0.3, 0.5])
+    assert mu.points.tolist() == [[0.0, 0.0], [1.4e-12, 0.0]]
     assert mu.weights.tolist() == [0.5, 0.5]
 
 
@@ -450,6 +459,46 @@ def test_measure_set_dedup():
 def test_measure_set_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         mm.MeasureSet.from_measures([mm.dirac([0.0]), mm.dirac([0.0, 0.0])])
+
+
+def test_measure_set_rejects_mixed_dimensions_with_equal_key_bytes():
+    planar = mm.WeightedPointMeasure([[0.1, 0.25], [0.25, 0.9]], [0.5, 0.5])
+    line = mm.WeightedPointMeasure([0.1, 0.5, 0.9], [0.25, 0.25, 0.5])
+    assert planar._key.tobytes() == line._key.tobytes()
+    for pair in ([planar, line], [line, planar]):
+        with pytest.raises(ValueError, match="share a dimension"):
+            mm.MeasureSet.from_measures(pair)
+
+
+def test_measure_set_greedy_rule_depends_on_order():
+    a, b, c = (mm.dirac([x]) for x in (0.0, 0.6e-9, 1.2e-9))
+    kept = [mu.points[0, 0] for mu in mm.MeasureSet.from_measures([a, b, c])]
+    assert kept == [0.0, 1.2e-9]
+    kept = [mu.points[0, 0] for mu in mm.MeasureSet.from_measures([b, a, c])]
+    assert kept == [0.6e-9]
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_measure_set_matches_greedy_reference(seed):
+    # Bitwise repeats (the same object or a rebuilt copy), near-duplicates at
+    # half the tolerance and one to three atoms per measure.
+    rng = np.random.default_rng(seed)
+    base = [random_measure(rng, max_atoms=3) for _ in range(int(rng.integers(1, 10)))]
+    measures = []
+    for _ in range(int(rng.integers(1, 40))):
+        mu = base[int(rng.integers(len(base)))]
+        kind = int(rng.integers(3))
+        if kind == 1:
+            mu = mm.WeightedPointMeasure(mu.points, mu.weights)
+        elif kind == 2:
+            shift = 0.5 * SET_DEDUP_TOL * rng.choice([-1.0, 1.0], mu.points.shape)
+            mu = mm.WeightedPointMeasure(mu.points + shift, mu.weights)
+        measures.append(mu)
+    expected = measure_set_reference(measures)
+    members = mm.MeasureSet.from_measures(iter(measures)).members
+    assert len(members) == len(expected)
+    assert all(mu is nu for mu, nu in zip(members, expected))
 
 
 def test_measure_sets_equal():

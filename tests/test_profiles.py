@@ -275,6 +275,27 @@ def test_exact_orbit_rejects_large_orders():
         mm.exact_orbit_profile(mm.MeasuredMatrix(np.eye(8)), [np.zeros(8)])
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_exact_orbit_profile_equals_per_orbit_then_across_dedup(n):
+    # The two-stage dedup of earlier releases: each orbit on its own, then
+    # the orbits' members once across.  A repeated and a nearly repeated base
+    # vector give the second stage duplicates to drop.  Members, order and
+    # mean bits agree.
+    rng = np.random.default_rng(n)
+    g = mm.cycle_graph(n) if n % 2 else mm.path_graph(n)
+    matrices = [mm.adjacency(g), mm.kirchhoff(g), mm.normalized_laplacian(g),
+                mm.normalized_laplacian(g, "stationary"),
+                mm.MeasuredMatrix(rng.normal(size=(n, n)))]
+    v, w = mm.orbit_base_family(n, 17)[:2]
+    base = [v, w, v, w + 1e-10]
+    for matrix in matrices:
+        members = mm.exact_orbit_profile(matrix, base).measures.members
+        expected = mm.MeasureSet.from_measures(
+            [mu for u in base for mu in mm.orbit_measures(matrix, np.sort(u))]).members
+        assert [mu._key.tobytes() for mu in members] == [mu._key.tobytes() for mu in expected]
+        assert [mu.mean.tobytes() for mu in members] == [mu.mean.tobytes() for mu in expected]
+
+
 def test_orbit_base_family_shape():
     family = mm.orbit_base_family(4, seed=11)
     assert len(family) == 5

@@ -29,7 +29,7 @@ def test_ordered_support_requires_distinct_first_coordinates():
 
 def test_support_measure_round_trip():
     mu = mm.generate_measure(mm.MeasuredMatrix(EXAMPLE_B), [0.7, -0.2])
-    again = mm.support_measure(mm.ordered_support(mu))
+    again = mm.ordered_support(mu).measure
     assert mm.measure_equal(mu, again, 1e-15)
 
 
@@ -257,7 +257,7 @@ def test_oracle_logs_queries_and_matches_direct_computation():
     assert oracle.orbit_size(v) == 3
     supports = oracle.orbit_supports(v)
     direct = {mu.points.tobytes() for mu in mm.orbit_measures(m, v)}
-    via_oracle = {mm.support_measure(s).points.tobytes() for s in supports}
+    via_oracle = {s.measure.points.tobytes() for s in supports}
     assert direct == via_oracle
     assert oracle.query_count == 2
     kinds = [kind for kind, _ in oracle.query_log]
