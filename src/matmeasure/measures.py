@@ -62,8 +62,11 @@ SUBSET_KERNEL_MAX_ATOMS = 10
 # the kernel's three table-sized arrays under 32 MB; larger pairs use Dinic.
 _SUBSET_TABLE_MAX_CELLS = 1 << 20
 # Subset-table cells per chunk of pairs in _pair_lp, which keeps the kernel's
-# temporaries near 1 MB.
-_CHUNK_CELLS = 1 << 15
+# work buffer and argsort near 0.2 MB.  It also bounds the pairs of one
+# Hausdorff round and the rows of one nearest-mean block.  The traced peak
+# of one exact-orbit dist of 360 x 60 members (house vs K(2,3)) is 1.05 MB
+# with it, and was 1.8 MB with 1 << 15.
+_CHUNK_CELLS = 1 << 13
 
 
 class WeightedPointMeasure:
@@ -252,6 +255,13 @@ def _point_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
+def _check_metric(metric: str) -> None:
+    # Checked up front: equal measures are at distance 0 under any metric,
+    # so without it a misspelt metric would pass unnoticed on equal inputs.
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+
 def _check_pair(mu: WeightedPointMeasure, nu: WeightedPointMeasure) -> None:
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -268,28 +278,33 @@ def _uses_subset_kernel(m_small: int, m_large: int) -> bool:
             and m_large << m_small <= _SUBSET_TABLE_MAX_CELLS)
 
 
-def _subset_tables(dist: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _subset_tables(dist: np.ndarray, a: np.ndarray, near: np.ndarray,
+                   mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mass and distance tables over the nonempty subsets of the first side.
 
     For a batch ``dist`` of shape (P, m1, m2) and first-side weights ``a`` of
-    shape (P, m1), the subset S with bit i set for atom i gets
-    ``mass[p, S - 1] = a(S)`` and ``near[p, S - 1, j] = min_{i in S}
-    dist[p, i, j]``.  The tables are built by doubling: the subsets that
-    contain atom i are the ones before them with atom i added.
+    shape (P, m1), fills ``near`` (P, 2^m1, m2) and ``mass`` (P, 2^m1) so
+    that the subset S with bit i set for atom i gets ``mass[p, S] = a(S)``
+    and ``near[p, S, j] = min_{i in S} dist[p, i, j]``, and returns both
+    without the empty subset.  The tables are built by doubling: the subsets
+    that contain atom i are the ones before them with atom i added.
     """
-    p, m1, m2 = dist.shape
-    near = np.empty((p, 1 << m1, m2))
-    mass = np.empty((p, 1 << m1))
     near[:, 0] = np.inf
     mass[:, 0] = 0.0
-    for i in range(m1):
+    for i in range(dist.shape[1]):
         k = 1 << i
         np.minimum(near[:, :k], dist[:, i, None, :], out=near[:, k:2 * k])
         np.add(mass[:, :k], a[:, i, None], out=mass[:, k:2 * k])
     return near[:, 1:], mass[:, 1:]
 
 
-def _lp_subsets(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _subset_cells(p: int, m1: int, m2: int) -> int:
+    """Size of the work buffer ``_lp_subsets`` needs for P pairs of m1 x m2 atoms."""
+    return (p << m1) * (2 * m2 + 1)
+
+
+def _lp_subsets(dist: np.ndarray, a: np.ndarray, b: np.ndarray,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Exact LP distances of a batch of pairs by the subset min-cut kernel.
 
     ``dist`` (P, m1, m2) holds each pair's atom distances, ``a`` (P, m1) and
@@ -298,11 +313,20 @@ def _lp_subsets(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     C_k be the second-side mass of the first k; S stops blocking
     feasibility at g_S = min(a(S), min_k max(d_(k), a(S) - C_k)), and the
     distance is max_S g_S, capped at 1.  Every step is elementwise or runs
-    along one row, so a pair gets the same bits in any batch.
+    along one row, so a pair gets the same bits in any batch.  The tables
+    live in ``work``, a flat float buffer of at least ``_subset_cells``
+    cells, which a caller reuses across batches.
     """
-    near, mass = _subset_tables(dist, a)
+    p, m1, m2 = dist.shape
+    cells = (p << m1) * m2
+    if work is None:
+        work = np.empty(_subset_cells(p, m1, m2))
+    near, mass = _subset_tables(dist, a, work[:cells].reshape(p, 1 << m1, m2),
+                                work[cells:cells + (p << m1)].reshape(p, 1 << m1))
+    covered = work[cells + (p << m1):][:cells - p * m2].reshape(near.shape)
     order = near.argsort(axis=-1)
-    covered = b[np.arange(len(b))[:, None, None], order]
+    order += (np.arange(p) * m2)[:, None, None]
+    np.take(b, order, out=covered, mode="clip")
     covered.cumsum(axis=-1, out=covered)
     near.sort(axis=-1)
     np.subtract(mass[..., None], covered, out=covered)
@@ -358,6 +382,7 @@ def lp_feasible(mu: WeightedPointMeasure, nu: WeightedPointMeasure, eps: float,
     puts mass >= 1 - eps on atom pairs at distance <= eps, that is, iff no
     subset of the smaller support leaves more than eps uncoupled.
     """
+    _check_metric(metric)
     _check_pair(mu, nu)
     eps = float(eps)
     if eps < 0.0:
@@ -368,7 +393,9 @@ def lp_feasible(mu: WeightedPointMeasure, nu: WeightedPointMeasure, eps: float,
         mu, nu = nu, mu
     dist = _point_distances(mu.points, nu.points, metric)
     if _uses_subset_kernel(mu.atom_count, nu.atom_count):
-        near, mass = _subset_tables(dist[None], mu.weights[None])
+        m1, m2 = mu.atom_count, nu.atom_count
+        near, mass = _subset_tables(dist[None], mu.weights[None],
+                                    np.empty((1, 1 << m1, m2)), np.empty((1, 1 << m1)))
         uncoupled = float((mass[0] - (near[0] <= eps) @ nu.weights).max())
         return uncoupled <= eps + MASS_SLACK
     flow = bipartite_max_flow(mu.weights, nu.weights, dist <= eps)
@@ -385,6 +412,7 @@ def lp_distance(mu: WeightedPointMeasure, nu: WeightedPointMeasure,
     distance exactly 0, which keeps distances between a matrix and its
     relabelings identically zero.
     """
+    _check_metric(metric)
     _check_pair(mu, nu)
     if measure_equal(mu, nu, SET_DEDUP_TOL):
         return 0.0
@@ -405,9 +433,11 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str):
     one scalar; i != j), those pairs' LP distances, each bit for bit what
     ``lp_distance`` returns.  A pair is oriented by canonical rank, the way
     ``lp_distance`` orients it; pairs with the same two atom counts share
-    subset-kernel calls in chunks of about ``_CHUNK_CELLS`` table cells.
-    Equal pairs (``measure_equal``) give 0.0; pairs too big for the kernel call ``lp_distance``.
+    subset-kernel calls in chunks of about ``_CHUNK_CELLS`` table cells,
+    which reuse one work buffer per call.  Equal pairs (``measure_equal``)
+    give 0.0; pairs too big for the kernel call ``lp_distance``.
     """
+    _check_metric(metric)
     if len(dims := {mu.dim for mu in members}) > 1:
         raise ValueError(f"measures must share a dimension; found {sorted(dims)}")
     rank = np.argsort(sorted(range(len(members)), key=lambda k: _canonical_key(members[k])))
@@ -425,13 +455,17 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str):
         first, second = np.where(swap, j, i), np.where(swap, i, j)
         out = np.empty(len(first))
         m1, m2 = counts[first], counts[second]
+        groups = []
         for a, b in set(zip(m1.tolist(), m2.tolist())):
             pairs = ((m1 == a) & (m2 == b)).nonzero()[0]
             if not _uses_subset_kernel(a, b):
                 out[pairs] = [lp_distance(members[p], members[q], metric)
                               for p, q in zip(first[pairs].tolist(), second[pairs].tolist())]
-                continue
-            step = max(1, _CHUNK_CELLS // (b << a))
+            else:
+                groups.append((a, b, pairs, max(1, _CHUNK_CELLS // (b << a))))
+        work = np.empty(max((_subset_cells(min(step, len(pairs)), a, b)
+                             for a, b, pairs, step in groups), default=0))
+        for a, b, pairs, step in groups:
             for start in range(0, len(pairs), step):
                 chunk = pairs[start:start + step]
                 key1, key2 = keys[a][slot[first[chunk]]], keys[b][slot[second[chunk]]]
@@ -441,7 +475,7 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str):
                     chunk, key1, key2 = chunk[~equal], key1[~equal], key2[~equal]
                 if len(chunk):
                     dist = _point_distances(key1[..., :-1], key2[..., :-1], metric)
-                    out[chunk] = _lp_subsets(dist, key1[..., -1], key2[..., -1])
+                    out[chunk] = _lp_subsets(dist, key1[..., -1], key2[..., -1], work)
         return out
 
     return lp
@@ -455,14 +489,98 @@ def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
     return float(_pair_lp(members, metric)(rows, cols).min(initial=np.inf))
 
 
+def _prejoin(table: np.ndarray, x: MeasureSet, y: MeasureSet) -> None:
+    """Put 0.0, what ``lp_distance`` returns there, in ``table`` at every pair
+    of members with bitwise-equal canonical keys.  The key's shape is part
+    of the match: equal bytes can belong to different dimensions."""
+    in_y = {(mu._key.shape, mu._key.tobytes()): j for j, mu in enumerate(y)}
+    for i, mu in enumerate(x):
+        j = in_y.get((mu._key.shape, mu._key.tobytes()))
+        if j is not None:
+            table[i, j] = 0.0
+
+
+def _mean_gaps(means_b: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Euclidean distances (R, C) from ``centers`` (R, d) to ``means_b`` (C, d)."""
+    square = np.subtract(means_b, centers[:, None])
+    np.multiply(square, square, out=square)
+    return np.sqrt(square.sum(axis=-1))
+
+
+def _nearest(means: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Position in ``cols`` of each row's nearest mean, the first candidate of
+    its mean-proximity order, computed a bounded block of rows at a time."""
+    means_b = means[cols]
+    step = max(1, _CHUNK_CELLS // means_b.size)
+    out = np.empty(len(rows), dtype=np.intp)
+    for s in range(0, len(rows), step):
+        out[s:s + step] = _mean_gaps(means_b, means[rows[s:s + step]]).argmin(axis=1)
+    return out
+
+
+def _directed(lp, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+              means: np.ndarray, cmax: float) -> float:
+    """Raise ``cmax`` to the largest row minimum of ``table`` that exceeds it.
+
+    Rows go in descending order of their running minimum, in waves of 1, 2,
+    4, ... rows; the live rows of a wave walk their mean-proximity orders
+    together, in blocks of 2, 4, 8, ... candidates (the first candidate is
+    already in the table), with one ``lp`` call per round.  A row dies once
+    its minimum is at most ``cmax``, and only a row that has seen every
+    candidate raises ``cmax``, so the result is exact.
+    """
+    best = np.nanmin(table, axis=1)
+    queue = np.argsort(-best, kind="stable")
+    means_b, cap = means[cols], max(1, _CHUNK_CELLS // len(cols))
+    size = 1
+    while len(queue) and best[queue[0]] > cmax:
+        take = min(size, cap)
+        live, queue, size = queue[:take].tolist(), queue[take:], 2 * size
+        orders: dict[int, np.ndarray] = {}
+        lo, hi = 0, 3
+        while live := [r for r in live if best[r] > cmax]:
+            for r in live:
+                if r not in orders:
+                    gaps = _mean_gaps(means_b, means[rows[r], None])[0]
+                    orders[r] = np.argsort(gaps, kind="stable")
+            blocks = [orders[r][lo:hi] for r in live]
+            todo = [(r, block[np.isnan(table[r, block])]) for r, block in zip(live, blocks)]
+            i = np.concatenate([np.full(len(j), r) for r, j in todo])
+            j = np.concatenate([j for _, j in todo])
+            if len(i):
+                table[i, j] = lp(rows[i], cols[j])
+            for r, block in zip(live, blocks):
+                best[r] = min(best[r], table[r, block].min())
+            if hi >= len(cols):
+                cmax = max(cmax, max(best[r] for r in live))
+                break
+            for r in live:
+                if best[r] <= cmax:
+                    del orders[r]
+            lo, hi = hi, 2 * hi + 1
+    return cmax
+
+
 def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") -> float:
     """Hausdorff distance between finite measure sets under ``lp_distance``.
 
-    Exact max of the two directed sup-inf values.  The inner minimum search
-    is pruned: candidates are visited in order of proximity of weighted atom
-    means, in blocks of 1, 2, 4, ..., and the scan stops once the running
-    minimum cannot raise the directed maximum.  Both directions share one
-    table of evaluated pairs.
+    Exact max of the two directed sup-inf values, found by an early-break
+    search over one shared table of evaluated pairs (Taha & Hanbury 2015),
+    filled in three batched steps:
+
+    * an equality pre-join puts 0.0, what ``lp_distance`` returns there, at
+      every pair whose canonical keys are bitwise equal, so a member that
+      reappears in the other set costs no evaluation;
+    * every row without such a zero, in both directions, gets its candidate
+      of nearest weighted atom mean, all in one evaluation call;
+    * each direction then visits its rows in descending order of their
+      running minimum, in waves of 1, 2, 4, ... rows that walk their
+      mean-proximity orders together in blocks of 2, 4, 8, ... candidates,
+      one evaluation call per block.  A row stops once its minimum cannot
+      raise the largest minimum found so far, in either direction.
+
+    The visiting order changes only the work: the result is the largest row
+    or column minimum of the full table, bit for bit.
     """
     if len(x) == 0 or len(y) == 0:
         raise ValueError("Hausdorff distance needs nonempty measure sets")
@@ -470,26 +588,20 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
     lp = _pair_lp(members, metric)
     means = np.stack([mu.mean for mu in members])
     table = np.full((len(x), len(y)), np.nan)
-
-    def directed(table, rows, cols) -> float:
-        cmax, means_b = 0.0, means[cols]
-        for i, row in zip(rows.tolist(), table):
-            order = np.argsort(np.linalg.norm(means_b - means[i], axis=1), kind="stable")
-            best = np.inf
-            start, size = 0, 1
-            while best > cmax and start < len(order):
-                block = order[start:start + size]
-                todo = block[np.isnan(row[block])]
-                if len(todo):
-                    row[todo] = lp(i, cols[todo])
-                best = min(best, float(row[block].min()))
-                start, size = start + size, 2 * size
-            cmax = max(cmax, best)
-        return cmax
-
-    # The backward pass reads the transpose, so each pair is evaluated once.
+    _prejoin(table, x, y)
     in_x, in_y = np.arange(len(x)), np.arange(len(x), len(members))
-    return max(directed(table, in_x, in_y), directed(table.T, in_y, in_x))
+    zero = table == 0.0
+    rows, cols = np.flatnonzero(~zero.any(axis=1)), np.flatnonzero(~zero.any(axis=0))
+    first = np.sort(np.concatenate([rows * len(y) + _nearest(means, in_x[rows], in_y),
+                                    _nearest(means, in_y[cols], in_x) * len(y) + cols]))
+    # Each pair once (np.unique would import numpy.ma, about 1 MB).
+    first = first[np.diff(first, prepend=-1) != 0]
+    i, j = np.divmod(first[np.isnan(table.ravel()[first])], len(y))
+    if len(i):
+        table[i, j] = lp(in_x[i], in_y[j])
+    # The backward pass reads the transpose, so each pair is evaluated once.
+    cmax = _directed(lp, table, in_x, in_y, means, 0.0)
+    return _directed(lp, table.T, in_y, in_x, means, cmax)
 
 
 def pushforward_distance_bound(x_values: Sequence, y_values: Sequence,

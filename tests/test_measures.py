@@ -443,6 +443,154 @@ def test_hausdorff_equals_unpruned_reference_property(seed):
     pruned_equals_reference(x, y, mm.measures.METRICS[seed % 2])
 
 
+HOUSE = mm.Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4)])
+K23 = mm.Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+ORBIT = mm.SamplingConfig(mode="exact_orbit", seed=17)
+
+
+def bitwise_key(mu):
+    return mu._key.shape, mu._key.tobytes()
+
+
+def twin_free_reference(x, y, metric="euclidean"):
+    """``hausdorff_reference`` without the rows and columns of members that
+    have a bitwise twin on the other side: ``lp_distance`` of a measure with
+    an equal copy is 0.0, so their minimum is 0.  The other rows and columns
+    are evaluated in full."""
+    keys_x, keys_y = {bitwise_key(mu) for mu in x}, {bitwise_key(mu) for mu in y}
+    lone_x = [mu for mu in x if bitwise_key(mu) not in keys_y]
+    lone_y = [mu for mu in y if bitwise_key(mu) not in keys_x]
+    return max([0.0] + [min(mm.lp_distance(a, b, metric) for b in y) for a in lone_x]
+               + [min(mm.lp_distance(a, b, metric) for a in x) for b in lone_y])
+
+
+@pytest.mark.parametrize("metric", mm.measures.METRICS)
+def test_hausdorff_equals_unpruned_reference_on_wave_sized_sampled_profiles(metric):
+    # 60 members a side: each direction runs several waves of rows.
+    rng = np.random.default_rng(16)
+    cfg = mm.SamplingConfig(count=60, seed=8, kmax=3)
+    for n_a, n_b in ((6, 7), (8, 6)):
+        graph_a = graph_without_isolated_vertices(rng, n_a)
+        graph_b = graph_without_isolated_vertices(rng, n_b)
+        for x, y in zip(mm.profile_sets(mm.adjacency(graph_a), cfg),
+                        mm.profile_sets(mm.adjacency(graph_b), cfg), strict=True):
+            assert min(len(x), len(y)) >= 50
+            assert pruned_equals_reference(x, y, metric) > 0.0
+
+
+def test_hausdorff_equals_unpruned_reference_on_house_and_k23_orbits():
+    (house,), (k23,) = (mm.profile_sets(mm.adjacency(g), ORBIT) for g in (HOUSE, K23))
+    assert (len(house), len(k23)) == (360, 60)
+    assert pruned_equals_reference(house, k23, "euclidean") > 0.0
+
+
+def test_hausdorff_on_a_relabeled_house_where_the_prejoin_hits_and_misses():
+    matrix = mm.adjacency(HOUSE)
+    (x,) = mm.profile_sets(matrix, ORBIT)
+    (y,) = mm.profile_sets(mm.MeasuredMatrix(mm.relabel_matrix(matrix.entries, (3, 0, 4, 2, 1))),
+                           ORBIT)
+    keys_y = {bitwise_key(mu) for mu in y}
+    twins = sum(bitwise_key(mu) in keys_y for mu in x)
+    assert 0 < twins < len(x) == len(y) == 360
+    assert mm.hausdorff_distance(x, y) == twin_free_reference(x, y) == 0.0
+    assert mm.hausdorff_distance(y, x) == 0.0
+
+
+@pytest.mark.parametrize("cells", [mm.measures._CHUNK_CELLS, 1 << 7])
+@pytest.mark.parametrize("metric", mm.measures.METRICS)
+def test_hausdorff_equals_unpruned_reference_on_sets_with_shared_members(metric, cells,
+                                                                        monkeypatch):
+    # Shared members join bitwise; nudged copies (1e-11 off) do not, and
+    # reach 0.0 only through lp_distance.  The small cell budget caps the
+    # waves at 2 or 3 rows and puts one pair in each kernel chunk.
+    monkeypatch.setattr(mm.measures, "_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(17)
+    for trial in range(3):
+        dim = 2 + trial % 2
+        x = [random_measure(rng, dim, max_atoms=6) for _ in range(40)]
+        shared = [x[k] for k in rng.choice(40, 12, replace=False)]
+        nudged = [mm.WeightedPointMeasure(mu.points + 1e-11, mu.weights) for mu in x[:3]]
+        y = [random_measure(rng, dim, max_atoms=6) for _ in range(30)] + shared + nudged
+        rng.shuffle(y)
+        pruned_equals_reference(mm.MeasureSet.from_measures(x),
+                                mm.MeasureSet.from_measures(y), metric)
+
+
+def test_hausdorff_keeps_members_just_outside_the_dedup_tolerance_apart():
+    mu = mm.WeightedPointMeasure([[0.0, 0.0], [1.0, 0.5]], [0.5, 0.5])
+    nu = mm.WeightedPointMeasure(mu.points + 2 * SET_DEDUP_TOL, mu.weights)
+    far = mm.dirac([3.0, 3.0])
+    x, y = mm.MeasureSet.from_measures([mu, far]), mm.MeasureSet.from_measures([nu, far])
+    assert pruned_equals_reference(x, y, "euclidean") == mm.lp_distance(mu, nu) > 0.0
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_exact_orbit_distance_to_a_relabeling_is_zero(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    matrix = mm.adjacency(mm.Graph(n, edges))
+    relabeled = mm.MeasuredMatrix(mm.relabel_matrix(matrix.entries, rng.permutation(n)))
+    cfg = mm.SamplingConfig(mode="exact_orbit", seed=int(rng.integers(0, 1000)))
+    assert mm.one_profile_distance(matrix, relabeled, cfg) == 0.0
+
+
+def test_hausdorff_work_on_path4_vs_paw_is_pinned(monkeypatch):
+    # Counts of one fixed exact-orbit pair: evaluation calls and the pairs
+    # they carry.  A change to the search order or batching moves them.
+    pair_lp, calls = mm.measures._pair_lp, []
+
+    def counted_pair_lp(members, metric):
+        lp = pair_lp(members, metric)
+
+        def counted(i, j):
+            calls.append(np.broadcast(i, j).size)
+            return lp(i, j)
+
+        return counted
+
+    monkeypatch.setattr(mm.measures, "_pair_lp", counted_pair_lp)
+    graphs = four_vertex_classes()
+    value = mm.one_profile_distance(mm.adjacency(graphs["path4"]),
+                                    mm.adjacency(graphs["paw"]), ORBIT)
+    assert value > 0.0
+    assert (len(calls), sum(calls)) == (31, 1369)
+
+
+@pytest.mark.parametrize("metric", mm.measures.METRICS)
+def test_batched_pairs_equal_single_pairs_across_chunks(metric):
+    # One call reuses one kernel work buffer for every chunk and atom-count
+    # group; 8-atom pairs go 4 to a chunk, so each group spans several.
+    rng = np.random.default_rng(18)
+    members = [random_measure(rng, 2, max_atoms=8) for _ in range(60)]
+    members += members[:3]
+    rows, cols = np.triu_indices(len(members), 1)
+    batched = mm.measures._pair_lp(members, metric)(rows, cols)
+    single = [mm.lp_distance(members[i], members[j], metric) for i, j in zip(rows, cols)]
+    assert np.array_equal(batched, single)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mu, x: mm.lp_distance(mu, mu, "bogus"),
+    lambda mu, x: mm.lp_feasible(mu, mu, 0.5, "bogus"),
+    lambda mu, x: mm.hausdorff_distance(x, x, "bogus"),
+    lambda mu, x: mm.min_pairwise_lp([mu, mu], "bogus"),
+], ids=["lp_distance", "lp_feasible", "hausdorff_distance", "min_pairwise_lp"])
+def test_unknown_metric_raises_on_equal_inputs(call):
+    mu = mm.WeightedPointMeasure([[0.0, 0.0], [1.0, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="unknown metric"):
+        call(mu, mm.MeasureSet.from_measures([mu]))
+
+
+def test_unknown_metric_raises_in_a_profile_distance():
+    matrix = mm.adjacency(mm.cycle_graph(4))
+    relabeled = mm.MeasuredMatrix(mm.relabel_matrix(matrix.entries, (1, 3, 0, 2)))
+    cfg = mm.SamplingConfig(mode="exact_orbit", seed=17, metric="bogus")
+    with pytest.raises(ValueError, match="unknown metric"):
+        mm.one_profile_distance(matrix, relabeled, cfg)
+
+
 # ---------------------------------------------------------------------------
 # MeasureSet semantics
 # ---------------------------------------------------------------------------
