@@ -151,9 +151,9 @@ def perturb(x, i: int, d: float, norm_bound: float) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if not 0 <= i < x.shape[0]:
         raise ValueError(f"index {i} out of range for length {x.shape[0]}")
-    if d <= 0.0:
+    if not d > 0.0:
         raise ValueError("d must be positive")
-    if norm_bound < 1.0:
+    if not norm_bound >= 1.0:
         raise ValueError("norm_bound must be at least 1")
     shifted = x.copy()
     shifted[i] += d * d / (64.0 * norm_bound)

@@ -97,6 +97,8 @@ class WeightedPointMeasure:
             raise ValueError("points and weights must have matching leading length")
         if pts.shape[0] == 0:
             raise ValueError("a measure needs at least one atom")
+        if pts.shape[1] == 0:
+            raise ValueError("atoms need at least one coordinate")
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
             raise ValueError("atoms must be finite")
         if np.any(w <= 0.0):
@@ -226,6 +228,8 @@ class MeasureSet:
         return cls(dim, tuple(mu for mu, keep in zip(distinct, kept) if keep))
 
     def contains(self, mu: WeightedPointMeasure, tol: float = SET_DEDUP_TOL) -> bool:
+        if mu.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {mu.dim} vs {self.dim}")
         return any(measure_equal(mu, member, tol) for member in self.members
                    if member.atom_count == mu.atom_count)
 
@@ -240,6 +244,8 @@ class MeasureSet:
 
 
 def measure_sets_equal(x: MeasureSet, y: MeasureSet, tol: float = SET_DEDUP_TOL) -> bool:
+    if x.dim != y.dim:
+        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if len(x) != len(y):
         return False
     return all(y.contains(m, tol) for m in x) and all(x.contains(m, tol) for m in y)
@@ -278,26 +284,6 @@ def _uses_subset_kernel(m_small: int, m_large: int) -> bool:
             and m_large << m_small <= _SUBSET_TABLE_MAX_CELLS)
 
 
-def _subset_tables(dist: np.ndarray, a: np.ndarray, near: np.ndarray,
-                   mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mass and distance tables over the nonempty subsets of the first side.
-
-    For a batch ``dist`` of shape (P, m1, m2) and first-side weights ``a`` of
-    shape (P, m1), fills ``near`` (P, 2^m1, m2) and ``mass`` (P, 2^m1) so
-    that the subset S with bit i set for atom i gets ``mass[p, S] = a(S)``
-    and ``near[p, S, j] = min_{i in S} dist[p, i, j]``, and returns both
-    without the empty subset.  The tables are built by doubling: the subsets
-    that contain atom i are the ones before them with atom i added.
-    """
-    near[:, 0] = np.inf
-    mass[:, 0] = 0.0
-    for i in range(dist.shape[1]):
-        k = 1 << i
-        np.minimum(near[:, :k], dist[:, i, None, :], out=near[:, k:2 * k])
-        np.add(mass[:, :k], a[:, i, None], out=mass[:, k:2 * k])
-    return near[:, 1:], mass[:, 1:]
-
-
 def _subset_cells(p: int, m1: int, m2: int) -> int:
     """Size of the work buffer ``_lp_subsets`` needs for P pairs of m1 x m2 atoms."""
     return (p << m1) * (2 * m2 + 1)
@@ -315,14 +301,25 @@ def _lp_subsets(dist: np.ndarray, a: np.ndarray, b: np.ndarray,
     distance is max_S g_S, capped at 1.  Every step is elementwise or runs
     along one row, so a pair gets the same bits in any batch.  The tables
     live in ``work``, a flat float buffer of at least ``_subset_cells``
-    cells, which a caller reuses across batches.
+    cells, which a caller reuses across batches.  It is the one subset kernel,
+    for ``lp_distance``, ``_pair_lp`` and so ``lp_feasible``.
     """
     p, m1, m2 = dist.shape
     cells = (p << m1) * m2
     if work is None:
         work = np.empty(_subset_cells(p, m1, m2))
-    near, mass = _subset_tables(dist, a, work[:cells].reshape(p, 1 << m1, m2),
-                                work[cells:cells + (p << m1)].reshape(p, 1 << m1))
+    # Subset S of the first side has bit i set for atom i: mass[:, S] = a(S)
+    # and near[:, S, j] = min_{i in S} dist[:, i, j], built by doubling (the
+    # subsets with atom i are the ones before them plus atom i), S = {} dropped.
+    near = work[:cells].reshape(p, 1 << m1, m2)
+    mass = work[cells:cells + (p << m1)].reshape(p, 1 << m1)
+    near[:, 0] = np.inf
+    mass[:, 0] = 0.0
+    for i in range(m1):
+        k = 1 << i
+        np.minimum(near[:, :k], dist[:, i, None, :], out=near[:, k:2 * k])
+        np.add(mass[:, :k], a[:, i, None], out=mass[:, k:2 * k])
+    near, mass = near[:, 1:], mass[:, 1:]
     covered = work[cells + (p << m1):][:cells - p * m2].reshape(near.shape)
     order = near.argsort(axis=-1)
     order += (np.arange(p) * m2)[:, None, None]
@@ -378,28 +375,15 @@ def lp_feasible(mu: WeightedPointMeasure, nu: WeightedPointMeasure, eps: float,
                 metric: str = "euclidean") -> bool:
     """Whether ``eps`` is feasible for the Levy-Prokhorov inequalities.
 
-    Decided through the coupling characterization: feasible iff a coupling
-    puts mass >= 1 - eps on atom pairs at distance <= eps, that is, iff no
-    subset of the smaller support leaves more than eps uncoupled.
+    The distance is the least feasible eps, so eps is feasible iff eps >= 1
+    or ``lp_distance(mu, nu, metric) <= eps + MASS_SLACK``; NaN raises.
     """
     _check_metric(metric)
     _check_pair(mu, nu)
     eps = float(eps)
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    if eps >= 1.0:
-        return True
-    if nu.atom_count < mu.atom_count:
-        mu, nu = nu, mu
-    dist = _point_distances(mu.points, nu.points, metric)
-    if _uses_subset_kernel(mu.atom_count, nu.atom_count):
-        m1, m2 = mu.atom_count, nu.atom_count
-        near, mass = _subset_tables(dist[None], mu.weights[None],
-                                    np.empty((1, 1 << m1, m2)), np.empty((1, 1 << m1)))
-        uncoupled = float((mass[0] - (near[0] <= eps) @ nu.weights).max())
-        return uncoupled <= eps + MASS_SLACK
-    flow = bipartite_max_flow(mu.weights, nu.weights, dist <= eps)
-    return flow >= 1.0 - eps - MASS_SLACK
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be nonnegative, got {eps!r}")
+    return eps >= 1.0 or lp_distance(mu, nu, metric) <= eps + MASS_SLACK
 
 
 def lp_distance(mu: WeightedPointMeasure, nu: WeightedPointMeasure,

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .matrices import MeasuredMatrix, norm_inf_to_1, orbit_measures, perturb
-from .measures import WeightedPointMeasure, lp_feasible, min_pairwise_lp
+from .measures import MASS_SLACK, WeightedPointMeasure, _pair_lp, min_pairwise_lp
 
 KERNEL_RESIDUAL_TOL = 1e-9
 IRREDUCIBLE_LIMIT = 6
@@ -374,11 +374,12 @@ def _recover_columns(oracle: MeasureOracle, v: np.ndarray, order: np.ndarray,
             supports = oracle.orbit_supports(probe)
         except DegenerateSupportError:
             return None
-        near = [s for s in supports
-                if lp_feasible(base.measure, s.measure, eps / 4.0)]
+        lp = _pair_lp([base.measure, *(s.measure for s in supports)], "euclidean")
+        # lp_feasible's rule at eps/4, for the whole orbit in one batch.
+        near = np.flatnonzero(lp(0, np.arange(1, len(supports) + 1)) <= eps / 4 + MASS_SLACK)
         if len(near) != 1:
             return None
-        partner = near[0]
+        partner = supports[near[0]]
         expected_xs = base.xs.copy()
         expected_xs[i] += shift
         if not np.allclose(partner.xs, expected_xs, atol=shift * 1e-6 + 1e-12):

@@ -300,3 +300,13 @@ def test_perturb_rejects_bad_arguments():
         mm.perturb(np.zeros(2), 0, -0.5, 1.0)
     with pytest.raises(ValueError):
         mm.perturb(np.zeros(2), 0, 0.5, 0.5)
+
+
+def test_perturb_rejects_nan_shift():
+    with pytest.raises(ValueError, match="positive"):
+        mm.perturb(np.array([0.0, 1.0]), 0, float("nan"), 1.0)
+
+
+def test_perturb_rejects_nan_norm_bound():
+    with pytest.raises(ValueError, match="at least 1"):
+        mm.perturb(np.array([0.0, 1.0]), 0, 0.1, float("nan"))

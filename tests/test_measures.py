@@ -59,6 +59,13 @@ def test_text_round_trip():
     assert mm.measure_equal(mu, again, 1e-15)
 
 
+def test_zero_dimensional_atoms_rejected():
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        mm.WeightedPointMeasure(np.empty((2, 0)), [HALF, HALF])
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        mm.WeightedPointMeasure.from_text("0 1\n1\n")
+
+
 # ---------------------------------------------------------------------------
 # measure_equal
 # ---------------------------------------------------------------------------
@@ -109,6 +116,12 @@ def test_feasibility_with_unmatched_mass():
 def test_negative_eps_rejected():
     with pytest.raises(ValueError):
         mm.lp_feasible(mm.dirac([0.0]), mm.dirac([0.0]), -0.1)
+
+
+def test_nan_eps_rejected():
+    mu = mm.WeightedPointMeasure([[0.0, 1.0], [2.0, 0.0]], [HALF, HALF])
+    with pytest.raises(ValueError, match="nonnegative"):
+        mm.lp_feasible(mu, mu, float("nan"))
 
 
 def test_distance_identical_measures():
@@ -316,6 +329,71 @@ def test_feasibility_monotone_in_eps(seed, eps_a, eps_b):
     lo, hi = sorted((eps_a, eps_b))
     if mm.lp_feasible(mu, nu, lo):
         assert mm.lp_feasible(mu, nu, hi)
+
+
+def large_measure(rng):
+    """A planar measure of 11-14 atoms, above the subset-kernel crossover, so
+    its LP distances come from the Dinic search; uniform or varied weights."""
+    m = int(rng.integers(SUBSET_KERNEL_MAX_ATOMS + 1, SUBSET_KERNEL_MAX_ATOMS + 5))
+    weights = np.full(m, 1.0 / m) if rng.random() < 0.5 else random_weights(rng, m)
+    points = rng.uniform(-1.0, 1.0, (m, 2)) * float(rng.choice([0.3, 1.0]))
+    return mm.WeightedPointMeasure(points, weights)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_large_support_symmetry_and_range(seed):
+    rng = np.random.default_rng(seed)
+    mu, nu = large_measure(rng), large_measure(rng)
+    metric = mm.measures.METRICS[seed % 2]
+    value = mm.lp_distance(mu, nu, metric)
+    assert value == mm.lp_distance(nu, mu, metric)
+    assert 0.0 <= value <= 1.0
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_large_support_triangle_inequality(seed):
+    rng = np.random.default_rng(seed)
+    a, b, c = large_measure(rng), large_measure(rng), large_measure(rng)
+    metric = mm.measures.METRICS[seed % 2]
+    assert (mm.lp_distance(a, c, metric)
+            <= mm.lp_distance(a, b, metric) + mm.lp_distance(b, c, metric) + 1e-12)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_large_support_zero_exactly_when_equal(seed):
+    # The other side is a reordered copy, a copy within half the dedup
+    # tolerance, a copy with one atom moved by 1e-6, or a fresh measure.
+    rng = np.random.default_rng(seed)
+    mu = large_measure(rng)
+    metric = mm.measures.METRICS[seed % 2]
+    assert mm.lp_distance(mu, mu, metric) == 0.0
+    points, weights = mu.points.copy(), mu.weights
+    kind = int(rng.integers(4))
+    if kind == 0:
+        order = rng.permutation(len(weights))
+        points, weights = points[order], weights[order]
+    elif kind == 1:
+        points += 0.5 * SET_DEDUP_TOL * rng.choice([-1.0, 1.0], points.shape)
+    elif kind == 2:
+        points[int(rng.integers(len(weights))), 0] += 1e-6
+    nu = large_measure(rng) if kind == 3 else mm.WeightedPointMeasure(points, weights)
+    assert (mm.lp_distance(mu, nu, metric) == 0.0) == mm.measure_equal(mu, nu)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=40, deadline=None)
+def test_large_support_feasibility_monotone_in_eps(seed, eps_a, eps_b):
+    rng = np.random.default_rng(seed)
+    mu, nu = large_measure(rng), large_measure(rng)
+    metric = mm.measures.METRICS[seed % 2]
+    lo, hi = sorted((eps_a, eps_b))
+    if mm.lp_feasible(mu, nu, lo, metric):
+        assert mm.lp_feasible(mu, nu, hi, metric)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -657,6 +735,24 @@ def test_measure_sets_equal():
     assert mm.measure_sets_equal(x, y)
     z = mm.MeasureSet.from_measures(members[:3])
     assert not mm.measure_sets_equal(x, z)
+
+
+def test_contains_rejects_dimension_mismatch():
+    planar = mm.MeasureSet.from_measures([mm.dirac([0.0, 0.0])])
+    one_atom = mm.dirac([0.0, 0.0, 0.0])
+    two_atoms = mm.WeightedPointMeasure([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [HALF, HALF])
+    for mu in (one_atom, two_atoms):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            planar.contains(mu)
+
+
+def test_measure_sets_equal_rejects_dimension_mismatch():
+    planar = mm.MeasureSet.from_measures([mm.dirac([0.0, 0.0])])
+    for size in (1, 2):
+        solid = mm.MeasureSet.from_measures(mm.dirac([float(x), 0.0, 0.0])
+                                            for x in range(size))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mm.measure_sets_equal(planar, solid)
 
 
 # ---------------------------------------------------------------------------
