@@ -143,12 +143,11 @@ def _cmd_props(args: argparse.Namespace) -> int:
         uniform = row_sums_from_measure(MeasuredMatrix(matrix.entries))
         degree_multiset = [value for value, weight in uniform
                            for _ in range(round(weight * matrix.n))]
-        for k in (2, 3, 4):
-            lines.append(f"hom_star,{k},{hom_star(degree_multiset, k)}")
-        for k in (3, 4, 5):
-            count = hom_cycle(matrix, k)
+        counts = [("hom_star", k, hom_star(degree_multiset, k)) for k in (2, 3, 4)]
+        counts += [("hom_cycle", k, hom_cycle(matrix, k)) for k in (3, 4, 5)]
+        for name, k, count in counts:
             shown = count.rounded if count.rounded is not None else count.raw
-            lines.append(f"hom_cycle,{k},{shown}")
+            lines.append(f"{name},{k},{shown}")
     _emit(lines, args.out)
     return 0
 

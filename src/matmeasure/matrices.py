@@ -10,7 +10,7 @@ set that the profile metrics and the reconstruction procedure consume.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -79,16 +79,27 @@ def marginal_first(matrix: MeasuredMatrix, x) -> WeightedPointMeasure:
     return WeightedPointMeasure(x[:, None], matrix.p)
 
 
-def permutations_preserving(p: np.ndarray) -> Iterator[np.ndarray]:
-    """All index permutations sigma with p[sigma] == p componentwise.
+def _law_points(matrix: MeasuredMatrix, vectors) -> np.ndarray:
+    """Atoms of the laws of (Z_1, A Z_1, ..., Z_k, A Z_k) for a stack of
+    vector tuples ``vectors`` (P, k, n), as a (P, n, 2k) array.  Each A z is
+    its own product ``A @ z`` on a contiguous row, the bits of
+    ``generate_measure``; a batched product need not round the same way."""
+    vectors = np.ascontiguousarray(vectors, dtype=float)
+    p, k, n = vectors.shape
+    images = np.empty_like(vectors)
+    for z, out in zip(vectors.reshape(-1, n), images.reshape(-1, n)):
+        np.matmul(matrix.entries, z, out=out)
+    return np.stack((vectors, images), axis=2).reshape(p, 2 * k, n).swapaxes(1, 2)
+
+
+def permutations_preserving(p: np.ndarray) -> np.ndarray:
+    """All index permutations sigma with p[sigma] == p componentwise, as the
+    rows of a (k, n) index array in lexicographic order.
 
     ``sigma`` acts as (Px)_i = x_{sigma(i)}.
     """
-    n = len(p)
-    for sigma in itertools.permutations(range(n)):
-        idx = np.array(sigma)
-        if np.all(np.abs(p[idx] - p) <= PROB_TOL):
-            yield idx
+    perms = np.array(list(itertools.permutations(range(len(p)))), dtype=np.intp)
+    return perms[(np.abs(p[perms] - p) <= PROB_TOL).all(axis=1)]
 
 
 def orbit_measures(matrix: MeasuredMatrix, x) -> MeasureSet:
@@ -104,8 +115,8 @@ def orbit_measures(matrix: MeasuredMatrix, x) -> MeasureSet:
         raise ValueError(
             f"order {matrix.n} exceeds the factorial enumeration limit "
             f"{FACTORIAL_LIMIT}; use sampled profiles for large matrices")
-    return MeasureSet.from_measures(
-        generate_measure(matrix, x[sigma]) for sigma in permutations_preserving(matrix.p))
+    vectors = x[permutations_preserving(matrix.p)][:, None]
+    return MeasureSet.from_arrays(_law_points(matrix, vectors), matrix.p)
 
 
 class NormResult(NamedTuple):

@@ -69,6 +69,79 @@ _SUBSET_TABLE_MAX_CELLS = 1 << 20
 _CHUNK_CELLS = 1 << 13
 
 
+def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> Sequence[np.ndarray]:
+    """Checked canonical keys of a stack of measures, ``points`` (P, m, d) and
+    ``weights`` (P, m): the bits ``WeightedPointMeasure`` gives each row on its
+    own.  Only rows with touching neighbours go through the merge loop."""
+    if points.shape[1] == 0:
+        raise ValueError("a measure needs at least one atom")
+    if points.shape[2] == 0:
+        raise ValueError("atoms need at least one coordinate")
+    if not np.isfinite(points).all() or not np.isfinite(weights).all():
+        raise ValueError("atoms must be finite")
+    if (weights <= 0.0).any():
+        raise ValueError("atom weights must be strictly positive")
+    totals = weights.sum(axis=-1)
+    if (off := np.abs(totals - 1.0) > WEIGHT_SUM_TOL).any():
+        raise ValueError(f"atom weights sum to {float(totals[off][0])!r}, expected 1")
+    order = np.lexsort(points[..., ::-1].transpose(2, 0, 1), axis=-1)
+    stack = np.concatenate((points, weights[..., None]), axis=-1)
+    stack = stack[np.arange(len(stack))[:, None], order]
+    touching = (np.abs(np.diff(stack[..., :-1], axis=1)) <= ATOM_MERGE_TOL).all(axis=-1)
+    merged = touching.any(axis=-1).nonzero()[0]
+    # The stack itself holds the keys, unless a row's atom count shrinks.
+    keys = list(stack) if len(merged) else stack
+    for p in merged:
+        key, firsts = keys[p], [0]
+        for r in range(1, len(key)):
+            if np.all(np.abs(key[r, :-1] - key[firsts[-1], :-1]) <= ATOM_MERGE_TOL):
+                key[firsts[-1], -1] += key[r, -1]
+            else:
+                firsts.append(r)
+        keys[p] = key[firsts]
+    return keys
+
+
+def _dedup(keys: Sequence[np.ndarray], tol: float) -> list[int]:
+    """Positions, ascending, of the keys that the greedy rule keeps: a key is
+    dropped iff an earlier kept key of its shape lies within ``tol``
+    componentwise.  A bitwise repeat goes with its first copy, or after it,
+    so only first copies are compared, one stack per key shape."""
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault((key.shape, key.tobytes()), i)
+    if not first:
+        raise ValueError("a measure set needs at least one measure")
+    kept = []
+    for shape in {shape for shape, _ in first}:
+        group = [i for (s, _), i in first.items() if s == shape]
+        flat = np.stack([keys[i] for i in group]).reshape(len(group), -1)
+        # Only keys whose projections on r lie within pad of each other are
+        # compared; that is sound.  If fl|a_k - b_k| <= tol for all k (the test
+        # below), then |a_k - b_k| <= tol (1 + eps), and as r > 0 sums to at most
+        # 1 + L eps (L >= 2 the key size), the exact projections differ by at
+        # most 1.01 tol.  Each computed one is within gamma_L sum r_k |a_k| <=
+        # 0.51 L eps M of the exact one in any summation order (Higham 2002, eq.
+        # 3.5; M the largest |entry|).  pad = 4 (tol + L eps M) exceeds 1.01 tol
+        # + 1.03 L eps M by more than eps (1.01 M + pad), the rounding of p +- pad.
+        r = np.sqrt(np.arange(1.0, flat.shape[1] + 1.0))
+        proj = flat @ (r / r.sum())
+        pad = 4.0 * (tol + flat.shape[1] * np.finfo(float).eps * np.abs(flat).max())
+        ranks = np.argsort(proj)
+        lo = np.searchsorted(proj[ranks], proj - pad)
+        hi = np.searchsorted(proj[ranks], proj + pad, side="right")
+        if not np.isfinite(proj).all():
+            lo[:], hi[:] = 0, len(group)
+        keep = np.ones(len(group), dtype=bool)
+        # A key alone in its window is kept; the others go in insertion order.
+        for g in np.flatnonzero(hi - lo > 1):
+            near = ranks[lo[g]:hi[g]]
+            near = near[(near < g) & keep[near]]
+            keep[g] = not (np.abs(flat[near] - flat[g]) <= tol).all(axis=1).any()
+        kept += [group[g] for g in np.flatnonzero(keep)]
+    return sorted(kept)
+
+
 class WeightedPointMeasure:
     """Probability measure with finitely many atoms in R^d.
 
@@ -95,29 +168,10 @@ class WeightedPointMeasure:
         w = np.asarray(weights, dtype=float).ravel()
         if pts.ndim != 2 or pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights must have matching leading length")
-        if pts.shape[0] == 0:
-            raise ValueError("a measure needs at least one atom")
-        if pts.shape[1] == 0:
-            raise ValueError("atoms need at least one coordinate")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
-            raise ValueError("atoms must be finite")
-        if np.any(w <= 0.0):
-            raise ValueError("atom weights must be strictly positive")
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"atom weights sum to {total!r}, expected 1")
+        self._set_key(_canonical_keys(pts[None], w[None])[0])
 
-        order = np.lexsort(pts.T[::-1])
-        key = np.column_stack((pts, w))[order]
-        # With no two touching neighbours, each atom is the first of its run.
-        if (np.abs(np.diff(key[:, :-1], axis=0)) <= ATOM_MERGE_TOL).all(axis=1).any():
-            firsts = [0]
-            for r in range(1, len(key)):
-                if np.all(np.abs(key[r, :-1] - key[firsts[-1], :-1]) <= ATOM_MERGE_TOL):
-                    key[firsts[-1], -1] += key[r, -1]
-                else:
-                    firsts.append(r)
-            key = key[firsts]
+    def _set_key(self, key: np.ndarray) -> None:
+        """Take a canonical key (``_canonical_keys``) as this measure's atoms."""
         key.setflags(write=False)
         self._key = key
         # Contiguous copies: the mean's bits depend on the operands' layout.
@@ -200,32 +254,29 @@ class MeasureSet:
     @classmethod
     def from_measures(cls, measures: Iterable[WeightedPointMeasure],
                       tol: float = SET_DEDUP_TOL) -> "MeasureSet":
-        # A bitwise repeat goes with its first copy, or after it.
-        first: dict[tuple, WeightedPointMeasure] = {}
-        for mu in measures:
-            first.setdefault((mu._key.shape, mu._key.tobytes()), mu)
-        if not first:
-            raise ValueError("a measure set needs at least one measure")
-        distinct = list(first.values())
-        dim = distinct[0].dim
-        if any(mu.dim != dim for mu in distinct):
+        measures = list(measures)
+        kept = _dedup([mu._key for mu in measures], tol)
+        dim = measures[0].dim
+        if any(mu.dim != dim for mu in measures):
             raise ValueError("all members of a measure set must share a dimension")
-        kept = np.zeros(len(distinct), dtype=bool)
-        for m in {mu.atom_count for mu in distinct}:
-            group = [i for i, mu in enumerate(distinct) if mu.atom_count == m]
-            stack = np.empty((len(group), m, dim + 1))
-            # Reused buffers: a fresh temporary per insert page-faults once large.
-            work = np.empty_like(stack)
-            close = np.empty(stack.shape, dtype=bool)
-            k = 0
-            for i in group:
-                key = distinct[i]._key
-                gap = np.abs(np.subtract(stack[:k], key, out=work[:k]), out=work[:k])
-                if not np.less_equal(gap, tol, out=close[:k]).all(axis=(1, 2)).any():
-                    stack[k] = key
-                    k += 1
-                    kept[i] = True
-        return cls(dim, tuple(mu for mu, keep in zip(distinct, kept) if keep))
+        return cls(dim, tuple(measures[i] for i in kept))
+
+    @classmethod
+    def from_arrays(cls, points, weights, tol: float = SET_DEDUP_TOL) -> "MeasureSet":
+        """The set of the measures of a stack, ``points`` (P, m, d) and
+        ``weights`` (P, m) or (m,): the members, order and bits of
+        ``from_measures`` over the rows, but only kept members become objects."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 3:
+            raise ValueError("points must form a (P, m, d) stack")
+        keys = _canonical_keys(points, np.broadcast_to(
+            np.asarray(weights, dtype=float), points.shape[:2]))
+        members = []
+        for i in _dedup(keys, tol):
+            mu = WeightedPointMeasure.__new__(WeightedPointMeasure)
+            mu._set_key(keys[i].copy())
+            members.append(mu)
+        return cls(points.shape[2], tuple(members))
 
     def contains(self, mu: WeightedPointMeasure, tol: float = SET_DEDUP_TOL) -> bool:
         if mu.dim != self.dim:

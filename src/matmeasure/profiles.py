@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .matrices import MeasuredMatrix, generate_measure, permutations_preserving
+from .matrices import MeasuredMatrix, _law_points, permutations_preserving
 from .measures import MeasureSet, WeightedPointMeasure, hausdorff_distance
 
 MODES = ("sampled", "exact_orbit")
@@ -132,12 +132,8 @@ def canonical_vector_stream(n: int, seed: int) -> Iterator[np.ndarray]:
 
 def tuple_law(matrix: MeasuredMatrix, vectors: Sequence[np.ndarray]) -> WeightedPointMeasure:
     """Law of (Z_1, A Z_1, ..., Z_k, A Z_k) under the index weights."""
-    columns = []
-    for z in vectors:
-        z = np.asarray(z, dtype=float).ravel()
-        columns.append(z)
-        columns.append(matrix.entries @ z)
-    return WeightedPointMeasure(np.column_stack(columns), matrix.p)
+    vectors = np.array([np.asarray(z, dtype=float).ravel() for z in vectors])
+    return WeightedPointMeasure(_law_points(matrix, vectors[None])[0], matrix.p)
 
 
 def sample_profile(matrix: MeasuredMatrix, k: int, count: int, seed: int) -> ProfileSample:
@@ -152,7 +148,7 @@ def sample_profile(matrix: MeasuredMatrix, k: int, count: int, seed: int) -> Pro
         raise ValueError("count must be at least 1")
     stream = canonical_vector_stream(matrix.n, seed)
     tuples = [tuple(next(stream) for _ in range(k)) for _ in range(count)]
-    measures = MeasureSet.from_measures(tuple_law(matrix, t) for t in tuples)
+    measures = MeasureSet.from_arrays(_law_points(matrix, np.array(tuples)), matrix.p)
     return ProfileSample(k, tuples, measures, seed, "sampled")
 
 
@@ -197,9 +193,9 @@ def exact_orbit_profile(matrix: MeasuredMatrix,
     normalized = [np.sort(np.asarray(v, dtype=float).ravel()) for v in base_vectors]
     if any(v.shape[0] != matrix.n for v in normalized):
         raise ValueError("base vector length must equal the matrix order")
-    sigmas = list(permutations_preserving(matrix.p))
-    measures = MeasureSet.from_measures(
-        generate_measure(matrix, v[sigma]) for v in normalized for sigma in sigmas)
+    vectors = np.stack(normalized)[:, permutations_preserving(matrix.p)]
+    measures = MeasureSet.from_arrays(_law_points(matrix, vectors.reshape(-1, 1, matrix.n)),
+                                      matrix.p)
     return ProfileSample(1, [(v,) for v in normalized], measures, None, "exact_orbit")
 
 

@@ -68,6 +68,18 @@ def measure_set_reference(measures, tol: float = SET_DEDUP_TOL) -> list:
     return kept
 
 
+def dedup_reference(keys, tol: float = SET_DEDUP_TOL) -> list[int]:
+    """The greedy dedup rule, quadratic: positions of the kept keys, where a
+    key is dropped iff an earlier kept key of its shape lies within ``tol``
+    componentwise."""
+    kept: list[int] = []
+    for i, key in enumerate(keys):
+        if not any(keys[j].shape == key.shape and np.all(np.abs(keys[j] - key) <= tol)
+                   for j in kept):
+            kept.append(i)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Brute-force LP oracle: the reference path for both LP kernels
 # ---------------------------------------------------------------------------

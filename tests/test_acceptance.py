@@ -177,7 +177,7 @@ def test_criterion_08_homomorphism_formulas():
         degrees = graph.degrees()
         matrix = mm.adjacency(graph)
         for k in (2, 3, 4):
-            if mm.hom_star(degrees, k) != mm.count_homomorphisms(
+            if mm.hom_star(degrees, k).rounded != mm.count_homomorphisms(
                     mm.star_graph(k), graph):
                 ok = False
         for k in (3, 4, 5):
@@ -194,7 +194,7 @@ def test_criterion_08_homomorphism_formulas():
             graph = mm.Graph(n, edges)
             matrix = mm.adjacency(graph)
             for k in (2, 3, 4):
-                if mm.hom_star(graph.degrees(), k) != mm.count_homomorphisms(
+                if mm.hom_star(graph.degrees(), k).rounded != mm.count_homomorphisms(
                         mm.star_graph(k), graph):
                     ok = False
             for k in (3, 4, 5):

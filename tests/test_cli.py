@@ -38,6 +38,16 @@ def test_props_table(inputs, capsys):
     assert "hom_cycle,3,6" in out
 
 
+def test_props_star_counts_of_a_non_integral_matrix_are_raw(tmp_path, capsys):
+    # Row sums 0.7 and 0.6: sum d^(k-1) is 1.3 at k = 2, not the 1 of rounding.
+    path = tmp_path / "frac.mat"
+    path.write_text("2\n0.3 0.4\n0.4 0.2\n")
+    assert main(["props", str(path)]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()]
+    stars = {int(k): float(v) for name, k, v in rows if name == "hom_star"}
+    assert stars == pytest.approx({2: 1.3, 3: 0.85, 4: 0.559}, abs=1e-12)
+
+
 def test_reconstruct_round_trip(inputs, capsys):
     assert main(["reconstruct", str(inputs / "ex41.mat")]) == 0
     out = capsys.readouterr().out

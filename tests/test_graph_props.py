@@ -108,12 +108,18 @@ def test_row_sum_weights_normalized_and_integral_for_adjacency():
 # ---------------------------------------------------------------------------
 
 def test_hom_star_examples():
-    assert mm.hom_star([2, 2, 2], 3) == 12
-    assert mm.hom_star([3, 1, 1, 1], 3) == 12
+    assert mm.hom_star([2, 2, 2], 3) == (12.0, 12)
+    assert mm.hom_star([3, 1, 1, 1], 3).rounded == 12
     g = mm.Graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert mm.hom_star(g.degrees(), 2) == 2 * len(g.edges)
+    assert mm.hom_star(g.degrees(), 2).rounded == 2 * len(g.edges)
     with pytest.raises(ValueError):
         mm.hom_star([1, 2], 1)
+
+
+def test_hom_star_non_integral_degrees_report_raw_only():
+    # Rounding 1.5, 0.75 and 0.375 to 2, 1 and 0 would state false counts.
+    for k, raw in ((2, 1.5), (3, 0.75), (4, 0.375)):
+        assert mm.hom_star([0.5, 0.5, 0.5], k) == (raw, None)
 
 
 def test_hom_cycle_examples():
@@ -159,7 +165,7 @@ def test_hom_formulas_agree_with_brute_force_on_4_vertices():
         degrees = graph.degrees()
         adjacency = mm.adjacency(graph)
         for k in (2, 3, 4):
-            assert mm.hom_star(degrees, k) == mm.count_homomorphisms(
+            assert mm.hom_star(degrees, k).rounded == mm.count_homomorphisms(
                 mm.star_graph(k), graph)
         for k in (3, 4, 5):
             counted = mm.hom_cycle(adjacency, k)

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
-from matmeasure.measures import (MASS_SLACK, SET_DEDUP_TOL, SUBSET_KERNEL_MAX_ATOMS,
+from matmeasure.measures import (MASS_SLACK, SET_DEDUP_TOL, SUBSET_KERNEL_MAX_ATOMS, _dedup,
                                  _lp_breakpoints, _lp_subsets, _point_distances)
-from conftest import (four_vertex_classes, hausdorff_reference, lp_oracle,
+from conftest import (dedup_reference, four_vertex_classes, hausdorff_reference, lp_oracle,
                       measure_set_reference, random_measure, random_weights)
 
 HALF = 0.5
@@ -725,6 +725,104 @@ def test_measure_set_matches_greedy_reference(seed):
     members = mm.MeasureSet.from_measures(iter(measures)).members
     assert len(members) == len(expected)
     assert all(mu is nu for mu, nu in zip(members, expected))
+
+
+TOL = SET_DEDUP_TOL
+BIG = 1e6
+# Entries whose differences sit on the tolerance: exactly tol apart (0 and
+# tol), one ulp beyond it, two tol apart (chains), and near 1e6, where the
+# key's magnitude term of the window matters (an ulp there is 1.2e-10).
+EDGE_VALUES = [0.0, TOL, -TOL, 2 * TOL, float(np.nextafter(TOL, 1.0)), 0.5 * TOL, 0.5,
+               BIG, float(np.nextafter(BIG, 2 * BIG)), BIG + 8 * np.spacing(BIG),
+               BIG + 9 * np.spacing(BIG), BIG + 1e-9]
+
+
+@given(st.lists(st.tuples(st.integers(1, 2), st.lists(st.sampled_from(EDGE_VALUES),
+                                                      min_size=6, max_size=6)),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_windowed_dedup_matches_the_greedy_reference(rows):
+    # Bitwise repeats come from the small value pool; keys of one or two atoms.
+    keys = [np.array(values[:3 * m]).reshape(m, 3) for m, values in rows]
+    assert _dedup(keys, TOL) == dedup_reference(keys, TOL)
+
+
+@pytest.mark.parametrize("base", [0.0, BIG])
+def test_windowed_dedup_chains_keep_by_insertion_order(base):
+    # a, b, c with b within tol of a and of c, c beyond tol of a.
+    step = TOL if base == 0.0 else 8 * np.spacing(BIG)
+    a, b, c = (np.array([[base + i * step, 1.0]]) for i in range(3))
+    for keys, kept in (([a, b, c], [0, 2]), ([b, a, c], [0]), ([c, b, a], [0, 2]),
+                       ([a, c, b], [0, 1]), ([b, b, a, c], [0])):
+        assert _dedup(keys, TOL) == dedup_reference(keys, TOL) == kept
+
+
+def test_windowed_dedup_window_covers_projection_rounding():
+    # Near 1e6, keys 8 ulps (9.3e-10) apart in every entry are within tol, and
+    # the rounding of their projections can push them apart by more than tol.
+    rng = np.random.default_rng(3)
+    firsts = BIG + rng.integers(-1000, 1000, (200, 2, 3)) * np.spacing(BIG)
+    keys = [key for a in firsts for key in (a, a + 8 * np.spacing(BIG))]
+    assert _dedup(keys, TOL) == dedup_reference(keys, TOL) == list(range(0, 400, 2))
+
+
+def test_windowed_dedup_with_overflowing_projections():
+    # Keys at the largest float, whose projections overflow to inf: every key
+    # is then compared with every earlier one.
+    top = np.finfo(float).max
+    below, negated = np.full((2, 3), top), np.full((2, 3), top)
+    below[1, 2], negated[0, 0] = np.nextafter(top, 0.0), -top
+    keys = [np.full((2, 3), top), below, np.full((2, 3), top), negated]
+    with np.errstate(over="ignore"):
+        assert _dedup(keys, TOL) == dedup_reference(keys, TOL) == [0, 1, 3]
+
+
+def test_from_arrays_equals_from_measures_of_the_rows():
+    rng = np.random.default_rng(5)
+    points = rng.integers(-2, 3, (60, 4, 2)) / 3.0
+    points[::7, 1] = points[::7, 0] + 1e-13  # rows through the merge loop
+    weights = random_weights(rng, 4)
+    batch = mm.MeasureSet.from_arrays(points, weights).members
+    single = mm.MeasureSet.from_measures(mm.WeightedPointMeasure(p, weights)
+                                         for p in points).members
+    assert any(mu.atom_count < 4 for mu in batch)
+    assert [mu._key.tobytes() for mu in batch] == [mu._key.tobytes() for mu in single]
+    assert [mu.mean.tobytes() for mu in batch] == [mu.mean.tobytes() for mu in single]
+
+
+def _error(build):
+    with pytest.raises(ValueError) as caught:
+        build()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "inf weight", "zero weight",
+                                   "negative weight", "weight sum", "no rows", "no atoms",
+                                   "no coordinates"])
+def test_from_arrays_raises_what_the_measures_raise(fault):
+    points, weights = np.zeros((3, 2, 2)), np.full((3, 2), 0.5)
+    points[:, 1] = 1.0
+    if fault == "nan":
+        points[1, 0, 1] = np.nan
+    elif fault == "inf":
+        points[2, 1, 0] = -np.inf
+    elif fault == "inf weight":
+        weights[1] = [np.inf, 0.5]
+    elif fault == "zero weight":
+        weights[1] = [0.0, 1.0]
+    elif fault == "negative weight":
+        weights[2] = [-0.5, 1.5]
+    elif fault == "weight sum":
+        weights[1] = [0.5, 0.5 + 1e-9]
+    elif fault == "no rows":
+        points, weights = points[:0], weights[:0]
+    elif fault == "no atoms":
+        points, weights = points[:, :0], weights[:, :0]
+    else:
+        points = points[..., :0]
+    single = _error(lambda: mm.MeasureSet.from_measures(
+        [mm.WeightedPointMeasure(p, w) for p, w in zip(points, weights)]))
+    assert _error(lambda: mm.MeasureSet.from_arrays(points, weights)) == single
 
 
 def test_measure_sets_equal():

@@ -296,6 +296,48 @@ def test_exact_orbit_profile_equals_per_orbit_then_across_dedup(n):
         assert [mu.mean.tobytes() for mu in members] == [mu.mean.tobytes() for mu in expected]
 
 
+def _representations(n: int) -> list:
+    """Adjacency, Kirchhoff, normalized Laplacian, stationary-weighted
+    adjacency and a Gaussian matrix, on a path (even n) or a cycle (odd n)."""
+    g = mm.cycle_graph(n) if n % 2 else mm.path_graph(n)
+    rng = np.random.default_rng(n)
+    return [mm.adjacency(g), mm.kirchhoff(g), mm.normalized_laplacian(g),
+            mm.adjacency(g, "stationary"), mm.MeasuredMatrix(rng.normal(size=(n, n)))]
+
+
+def _assert_same_members(built: mm.MeasureSet, expected: mm.MeasureSet) -> None:
+    assert [mu._key.tobytes() for mu in built] == [mu._key.tobytes() for mu in expected]
+    assert [mu.mean.tobytes() for mu in built] == [mu.mean.tobytes() for mu in expected]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_batched_builders_equal_sets_of_single_measures(n):
+    # Each batched builder against from_measures over generate_measure or
+    # tuple_law, one measure object per row.  The all-ones, basis and tied
+    # vectors send rows through the merge loop.  Order 7 keeps to one orbit
+    # and one base vector: 5,040 single constructions per set take a while.
+    v, w = mm.orbit_base_family(n, 17)[:2]
+    ties = np.where(np.arange(n) % 2, 0.25, -0.5)
+    merged = 0
+    for matrix in _representations(n):
+        sigmas = mm.matrices.permutations_preserving(matrix.p)
+        for x in (v, ties, np.ones(n), np.eye(n)[0]) if n < 7 else (ties,):
+            orbit = mm.orbit_measures(matrix, x)
+            _assert_same_members(orbit, mm.MeasureSet.from_measures(
+                mm.generate_measure(matrix, x[sigma]) for sigma in sigmas))
+            merged += sum(mu.atom_count < n for mu in orbit)
+        base = [v, w, v] if n < 7 else [v]
+        _assert_same_members(
+            mm.exact_orbit_profile(matrix, base).measures,
+            mm.MeasureSet.from_measures(mm.generate_measure(matrix, np.sort(u)[sigma])
+                                        for u in base for sigma in sigmas))
+        for k in (1, 2, 3):
+            sample = mm.sample_profile(matrix, k, 40, seed=n)
+            _assert_same_members(sample.measures, mm.MeasureSet.from_measures(
+                mm.tuple_law(matrix, t) for t in sample.base_vectors))
+    assert merged > 0
+
+
 def test_orbit_base_family_shape():
     family = mm.orbit_base_family(4, seed=11)
     assert len(family) == 5

@@ -18,6 +18,20 @@ Hausdorff value in call order as ``float.hex``; the ``reconstruct`` case
 holds ``lp_calls``, ``pairs``, ``lp_feasible_calls`` and the sha256 of the
 ops' stdout.  The counts depend only on the code, so two checkouts can be
 compared run against run.  The order-6 pairs take several seconds each.
+
+The ``build`` case counts the construction of measure sets, in the seed-1
+passes over every op of ``orbit-census``, ``reconstruct`` and ``dist-small``
+and in the seed-17 exact-orbit profiles of the adjacency matrices of C6, P6,
+C7 and P7.  For each it gives the raw rows handed to the set constructors,
+the bitwise-distinct canonical keys among them, the kept members, the
+``WeightedPointMeasure`` objects constructed (counted at ``__new__``), the
+rows whose atoms were merged, and the sha256 of the members' keys and
+means.  ``MeasureSet.from_measures``, and ``MeasureSet.from_arrays`` where
+the checkout has it, are wrapped on their class.  Run it alone with
+
+    python3 tools/hausdorff_counts.py build
+
+The P7 profile takes 15-30 s where dedup is quadratic.
 """
 
 from __future__ import annotations
@@ -105,12 +119,90 @@ def rebind(original, wrapped) -> None:
                     setattr(module, key, wrapped)
 
 
-def run_ops(name: str, kind: str) -> str:
-    """Run the seed-1 ops of one kind in a workload; their joined stdout."""
+class BuildCounter:
+    """Counts the rows, keys, members and objects of every measure set built."""
+
+    COUNTS = ("raw_rows", "distinct_rows", "kept_members", "objects", "merged_rows")
+
+    def __init__(self):
+        self.reset()
+        self.quiet = False
+        self.raw_atoms: dict[int, int] = {}
+        cls, sets = measures.WeightedPointMeasure, measures.MeasureSet
+        init = cls.__init__
+
+        def new(klass, *args, **kwargs):
+            self.counts["objects"] += not self.quiet
+            return object.__new__(klass)
+
+        def counted_init(mu, points, weights):
+            init(mu, points, weights)
+            self.raw_atoms[id(mu)] = np.asarray(weights).size
+
+        cls.__new__, cls.__init__ = new, counted_init
+        from_measures = sets.from_measures
+
+        def counted_from_measures(klass, items, *args, **kwargs):
+            items = list(items)
+            self.record([mu._key for mu in items],
+                        sum(self.raw_atoms.get(id(mu), 0) > mu.atom_count for mu in items))
+            return self.members(from_measures(items, *args, **kwargs))
+
+        sets.from_measures = classmethod(counted_from_measures)
+        from_arrays = getattr(sets, "from_arrays", None)
+        if from_arrays is not None:
+            def counted_from_arrays(klass, points, weights, *args, **kwargs):
+                points = np.asarray(points, dtype=float)
+                weights = np.broadcast_to(weights, points.shape[:2])
+                self.quiet = True
+                keys = [cls(p, w)._key for p, w in zip(points, weights)]
+                self.quiet = False
+                self.record(keys, sum(len(key) < points.shape[1] for key in keys))
+                return self.members(from_arrays(points, weights, *args, **kwargs))
+
+            sets.from_arrays = classmethod(counted_from_arrays)
+
+    def reset(self) -> None:
+        self.counts = dict.fromkeys(self.COUNTS, 0)
+        self.digest = hashlib.sha256()
+
+    def record(self, keys, merged: int) -> None:
+        self.counts["raw_rows"] += len(keys)
+        self.counts["distinct_rows"] += len({(key.shape, key.tobytes()) for key in keys})
+        self.counts["merged_rows"] += merged
+
+    def members(self, result):
+        self.counts["kept_members"] += len(result)
+        for mu in result:
+            self.digest.update(mu._key.tobytes())
+            self.digest.update(mu.mean.tobytes())
+        return result
+
+    def result(self) -> dict:
+        out = dict(self.counts, members_sha256=self.digest.hexdigest())
+        self.reset()
+        return out
+
+
+def build_case() -> dict:
+    counter = BuildCounter()
+    out = {}
+    for name in ("orbit-census", "reconstruct", "dist-small"):
+        run_ops(name)
+        out[name] = counter.result()
+    for key, graph in (("C6", mm.cycle_graph(6)), ("P6", mm.path_graph(6)),
+                       ("C7", mm.cycle_graph(7)), ("P7", mm.path_graph(7))):
+        mm.exact_orbit_profile(mm.adjacency(graph), mm.orbit_base_family(graph.n, ORBIT_SEED))
+        out[key] = counter.result()
+    return out
+
+
+def run_ops(name: str, kind: str | None = None) -> str:
+    """Run the seed-1 ops of a workload, or of one kind in it; their joined stdout."""
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for op in workloads.build(name, SEED, Path(tmp)):
-            if op.kind != kind:
+            if kind is not None and op.kind != kind:
                 continue
             with contextlib.redirect_stdout(out):
                 rc = cli.main(list(op.argv))
@@ -134,6 +226,9 @@ def reconstruct_case(counter: Counter) -> dict:
 
 
 def main() -> None:
+    if sys.argv[1:] == ["build"]:
+        print(json.dumps({"build": build_case()}))
+        return
     counter = Counter()
     out = {name: workload_case(counter, name) for name in ("dist-small", "orbit-census")}
     cfg = mm.SamplingConfig(mode="exact_orbit", seed=ORBIT_SEED)
@@ -143,6 +238,7 @@ def main() -> None:
         mm.one_profile_distance(c6, other, cfg)
         out[key] = counter.result()
     out["reconstruct"] = reconstruct_case(counter)
+    out["build"] = build_case()
     print(json.dumps(out))
 
 
