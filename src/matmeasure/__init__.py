@@ -9,7 +9,7 @@ constructive recovery of a matrix, up to relabeling, from its measure
 family alone.
 """
 
-from .graph_props import (HomCount, count_homomorphisms, detect_line_support,
+from .graph_props import (CycleHomCount, count_homomorphisms, detect_line_support,
                           hom_cycle, hom_star, jacobi_eigh, row_sums_from_measure)
 from .matrices import (Graph, MeasuredMatrix, NormResult, adjacency,
                        complete_graph, cycle_graph, edgeless_graph,
@@ -34,9 +34,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionDistance",
+    "CycleHomCount",
     "DegenerateSupportError",
     "Graph",
-    "HomCount",
     "MeasureOracle",
     "MeasureSet",
     "MeasuredMatrix",

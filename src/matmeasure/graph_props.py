@@ -65,24 +65,23 @@ def row_sums_from_measure(matrix: MeasuredMatrix) -> list[tuple[float, float]]:
     return [(float(p[1]), float(w)) for p, w in zip(mu.points, mu.weights)]
 
 
-class HomCount(NamedTuple):
-    raw: float
-    rounded: Optional[int]
-
-
-def hom_star(degrees: Sequence[float], k: int) -> HomCount:
+def hom_star(degrees: Sequence[float], k: int) -> CycleHomCount:
     """Homomorphism count of the k-vertex star into a graph with the given
-    degree sequence: sum of d^(k-1).  ``rounded`` is filled whenever the
-    degrees are integral; ``raw`` always carries the float sum."""
+    degree sequence: sum of d^(k-1), ``rounded`` only for integral degrees."""
     if k < 2:
         raise ValueError("a star needs at least 2 vertices")
     d = np.asarray(degrees, dtype=float)
     raw = float(np.sum(d ** (k - 1)))
     integral = bool(np.all(np.abs(d - np.round(d)) <= 1e-12))
-    return HomCount(raw, int(round(raw)) if integral else None)
+    return CycleHomCount(raw, int(round(raw)) if integral else None)
 
 
-def hom_cycle(matrix: MeasuredMatrix, k: int) -> HomCount:
+class CycleHomCount(NamedTuple):
+    raw: float
+    rounded: Optional[int]
+
+
+def hom_cycle(matrix: MeasuredMatrix, k: int) -> CycleHomCount:
     """Homomorphism count of the k-cycle: sum of adjacency eigenvalues^k.
 
     Eigenvalues come from ``jacobi_eigh`` (LAPACK).  ``rounded`` is filled
@@ -97,7 +96,7 @@ def hom_cycle(matrix: MeasuredMatrix, k: int) -> HomCount:
     eigenvalues, _ = jacobi_eigh(a)
     raw = float(np.sum(eigenvalues ** k))
     integral = bool(np.all(np.abs(a - np.round(a)) <= 1e-12))
-    return HomCount(raw, int(round(raw)) if integral else None)
+    return CycleHomCount(raw, int(round(raw)) if integral else None)
 
 
 def count_homomorphisms(pattern: Graph, target: Graph) -> int:

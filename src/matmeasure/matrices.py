@@ -80,10 +80,9 @@ def marginal_first(matrix: MeasuredMatrix, x) -> WeightedPointMeasure:
 
 
 def _law_points(matrix: MeasuredMatrix, vectors) -> np.ndarray:
-    """Atoms of the laws of (Z_1, A Z_1, ..., Z_k, A Z_k) for a stack of
-    vector tuples ``vectors`` (P, k, n), as a (P, n, 2k) array.  Each A z is
-    its own product ``A @ z`` on a contiguous row, the bits of
-    ``generate_measure``; a batched product need not round the same way."""
+    """Atoms (P, n, 2k) of the laws of (Z_1, A Z_1, ..., Z_k, A Z_k) for vector
+    tuples ``vectors`` (P, k, n).  Each A z is one ``A @ z`` on a contiguous row,
+    the bits of ``generate_measure``; a batched product need not round alike."""
     vectors = np.ascontiguousarray(vectors, dtype=float)
     p, k, n = vectors.shape
     images = np.empty_like(vectors)
@@ -94,10 +93,7 @@ def _law_points(matrix: MeasuredMatrix, vectors) -> np.ndarray:
 
 def permutations_preserving(p: np.ndarray) -> np.ndarray:
     """All index permutations sigma with p[sigma] == p componentwise, as the
-    rows of a (k, n) index array in lexicographic order.
-
-    ``sigma`` acts as (Px)_i = x_{sigma(i)}.
-    """
+    rows of a (k, n) array in lexicographic order; sigma acts as (Px)_i = x_{sigma(i)}."""
     perms = np.array(list(itertools.permutations(range(len(p)))), dtype=np.intp)
     return perms[(np.abs(p[perms] - p) <= PROB_TOL).all(axis=1)]
 
@@ -116,7 +112,7 @@ def orbit_measures(matrix: MeasuredMatrix, x) -> MeasureSet:
             f"order {matrix.n} exceeds the factorial enumeration limit "
             f"{FACTORIAL_LIMIT}; use sampled profiles for large matrices")
     vectors = x[permutations_preserving(matrix.p)][:, None]
-    return MeasureSet.from_arrays(_law_points(matrix, vectors), matrix.p)
+    return MeasureSet.from_arrays([_law_points(matrix, vectors)], matrix.p)
 
 
 class NormResult(NamedTuple):

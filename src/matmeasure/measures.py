@@ -70,9 +70,8 @@ _CHUNK_CELLS = 1 << 13
 
 
 def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> Sequence[np.ndarray]:
-    """Checked canonical keys of a stack of measures, ``points`` (P, m, d) and
-    ``weights`` (P, m): the bits ``WeightedPointMeasure`` gives each row on its
-    own.  Only rows with touching neighbours go through the merge loop."""
+    """Checked canonical keys of measures ``points`` (P, m, d), ``weights`` (P, m):
+    the bits ``WeightedPointMeasure`` gives each row on its own."""
     if points.shape[1] == 0:
         raise ValueError("a measure needs at least one atom")
     if points.shape[2] == 0:
@@ -85,11 +84,11 @@ def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> Sequence[np.ndar
     if (off := np.abs(totals - 1.0) > WEIGHT_SUM_TOL).any():
         raise ValueError(f"atom weights sum to {float(totals[off][0])!r}, expected 1")
     order = np.lexsort(points[..., ::-1].transpose(2, 0, 1), axis=-1)
-    stack = np.concatenate((points, weights[..., None]), axis=-1)
-    stack = stack[np.arange(len(stack))[:, None], order]
+    stack = np.take_along_axis(np.concatenate((points, weights[..., None]), axis=-1),
+                               order[..., None], axis=1)
     touching = (np.abs(np.diff(stack[..., :-1], axis=1)) <= ATOM_MERGE_TOL).all(axis=-1)
     merged = touching.any(axis=-1).nonzero()[0]
-    # The stack itself holds the keys, unless a row's atom count shrinks.
+    # Only rows with touching neighbours are merged; other keys are rows of the stack.
     keys = list(stack) if len(merged) else stack
     for p in merged:
         key, firsts = keys[p], [0]
@@ -103,26 +102,22 @@ def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> Sequence[np.ndar
 
 
 def _dedup(keys: Sequence[np.ndarray], tol: float) -> list[int]:
-    """Positions, ascending, of the keys that the greedy rule keeps: a key is
-    dropped iff an earlier kept key of its shape lies within ``tol``
-    componentwise.  A bitwise repeat goes with its first copy, or after it,
-    so only first copies are compared, one stack per key shape."""
+    """Positions, ascending, of the keys the greedy rule keeps: a key is dropped
+    iff an earlier kept key of its shape lies within ``tol`` componentwise.  Only
+    first bitwise copies are compared, one stack per key shape."""
     first: dict[tuple, int] = {}
     for i, key in enumerate(keys):
         first.setdefault((key.shape, key.tobytes()), i)
-    if not first:
-        raise ValueError("a measure set needs at least one measure")
     kept = []
     for shape in {shape for shape, _ in first}:
         group = [i for (s, _), i in first.items() if s == shape]
         flat = np.stack([keys[i] for i in group]).reshape(len(group), -1)
-        # Only keys whose projections on r lie within pad of each other are
-        # compared; that is sound.  If fl|a_k - b_k| <= tol for all k (the test
-        # below), then |a_k - b_k| <= tol (1 + eps), and as r > 0 sums to at most
-        # 1 + L eps (L >= 2 the key size), the exact projections differ by at
-        # most 1.01 tol.  Each computed one is within gamma_L sum r_k |a_k| <=
-        # 0.51 L eps M of the exact one in any summation order (Higham 2002, eq.
-        # 3.5; M the largest |entry|).  pad = 4 (tol + L eps M) exceeds 1.01 tol
+        # Only keys with projections on r within pad of each other are compared.
+        # Sound: if fl|a_k - b_k| <= tol for all k (the test below), the exact
+        # projections differ by at most 1.01 tol (r > 0 sums to at most 1 + L eps,
+        # L >= 2 the key size); each computed one is within gamma_L sum r_k |a_k|
+        # <= 0.51 L eps M of the exact one in any summation order (Higham 2002,
+        # eq. 3.5; M the largest |entry|); pad = 4 (tol + L eps M) exceeds 1.01 tol
         # + 1.03 L eps M by more than eps (1.01 M + pad), the rounding of p +- pad.
         r = np.sqrt(np.arange(1.0, flat.shape[1] + 1.0))
         proj = flat @ (r / r.sum())
@@ -170,7 +165,7 @@ class WeightedPointMeasure:
             raise ValueError("points and weights must have matching leading length")
         self._set_key(_canonical_keys(pts[None], w[None])[0])
 
-    def _set_key(self, key: np.ndarray) -> None:
+    def _set_key(self, key: np.ndarray) -> "WeightedPointMeasure":
         """Take a canonical key (``_canonical_keys``) as this measure's atoms."""
         key.setflags(write=False)
         self._key = key
@@ -180,6 +175,7 @@ class WeightedPointMeasure:
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
         self._mean = self.weights @ self.points
+        return self
 
     @property
     def dim(self) -> int:
@@ -255,28 +251,33 @@ class MeasureSet:
     def from_measures(cls, measures: Iterable[WeightedPointMeasure],
                       tol: float = SET_DEDUP_TOL) -> "MeasureSet":
         measures = list(measures)
-        kept = _dedup([mu._key for mu in measures], tol)
+        if not measures:
+            raise ValueError("a measure set needs at least one measure")
         dim = measures[0].dim
         if any(mu.dim != dim for mu in measures):
             raise ValueError("all members of a measure set must share a dimension")
-        return cls(dim, tuple(measures[i] for i in kept))
+        return cls(dim, tuple(measures[i] for i in _dedup([mu._key for mu in measures], tol)))
 
     @classmethod
-    def from_arrays(cls, points, weights, tol: float = SET_DEDUP_TOL) -> "MeasureSet":
-        """The set of the measures of a stack, ``points`` (P, m, d) and
-        ``weights`` (P, m) or (m,): the members, order and bits of
-        ``from_measures`` over the rows, but only kept members become objects."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 3:
-            raise ValueError("points must form a (P, m, d) stack")
-        keys = _canonical_keys(points, np.broadcast_to(
-            np.asarray(weights, dtype=float), points.shape[:2]))
-        members = []
-        for i in _dedup(keys, tol):
-            mu = WeightedPointMeasure.__new__(WeightedPointMeasure)
-            mu._set_key(keys[i].copy())
-            members.append(mu)
-        return cls(points.shape[2], tuple(members))
+    def from_arrays(cls, stacks: Iterable, weights) -> "MeasureSet":
+        """``from_measures`` over the rows of point stacks (P, m, d) with atom
+        weights (m,), stack by stack, so memory follows the largest stack and
+        the kept keys; only kept members become objects."""
+        weights, kept = np.asarray(weights, dtype=float), []
+        for points in stacks:
+            points = np.asarray(points, dtype=float)
+            if (points.ndim != 3 or weights.shape != points.shape[1:2]
+                    or kept and points.shape[2] != kept[0].shape[1] - 1):
+                raise ValueError("points must form (P, m, d) stacks of one d, weights (m,)")
+            keys = _canonical_keys(points, np.broadcast_to(weights, points.shape[:2]))
+            # Kept keys stay kept (none lies within tol of an earlier one), so
+            # deduplicating them with the new keys is the greedy rule over all rows.
+            old, candidates = len(kept), [*kept, *keys] if kept else keys
+            kept += [keys[i - old].copy() for i in _dedup(candidates, SET_DEDUP_TOL)[old:]]
+        if not kept:
+            raise ValueError("a measure set needs at least one measure")
+        return cls(kept[0].shape[1] - 1, tuple(
+            WeightedPointMeasure.__new__(WeightedPointMeasure)._set_key(key) for key in kept))
 
     def contains(self, mu: WeightedPointMeasure, tol: float = SET_DEDUP_TOL) -> bool:
         if mu.dim != self.dim:

@@ -132,8 +132,12 @@ def canonical_vector_stream(n: int, seed: int) -> Iterator[np.ndarray]:
 
 def tuple_law(matrix: MeasuredMatrix, vectors: Sequence[np.ndarray]) -> WeightedPointMeasure:
     """Law of (Z_1, A Z_1, ..., Z_k, A Z_k) under the index weights."""
-    vectors = np.array([np.asarray(z, dtype=float).ravel() for z in vectors])
-    return WeightedPointMeasure(_law_points(matrix, vectors[None])[0], matrix.p)
+    columns = []
+    for z in vectors:
+        z = np.asarray(z, dtype=float).ravel()
+        columns.append(z)
+        columns.append(matrix.entries @ z)
+    return WeightedPointMeasure(np.column_stack(columns), matrix.p)
 
 
 def sample_profile(matrix: MeasuredMatrix, k: int, count: int, seed: int) -> ProfileSample:
@@ -148,7 +152,7 @@ def sample_profile(matrix: MeasuredMatrix, k: int, count: int, seed: int) -> Pro
         raise ValueError("count must be at least 1")
     stream = canonical_vector_stream(matrix.n, seed)
     tuples = [tuple(next(stream) for _ in range(k)) for _ in range(count)]
-    measures = MeasureSet.from_arrays(_law_points(matrix, np.array(tuples)), matrix.p)
+    measures = MeasureSet.from_arrays([_law_points(matrix, np.array(tuples))], matrix.p)
     return ProfileSample(k, tuples, measures, seed, "sampled")
 
 
@@ -193,9 +197,9 @@ def exact_orbit_profile(matrix: MeasuredMatrix,
     normalized = [np.sort(np.asarray(v, dtype=float).ravel()) for v in base_vectors]
     if any(v.shape[0] != matrix.n for v in normalized):
         raise ValueError("base vector length must equal the matrix order")
-    vectors = np.stack(normalized)[:, permutations_preserving(matrix.p)]
-    measures = MeasureSet.from_arrays(_law_points(matrix, vectors.reshape(-1, 1, matrix.n)),
-                                      matrix.p)
+    sigmas = permutations_preserving(matrix.p)
+    measures = MeasureSet.from_arrays(
+        (_law_points(matrix, v[sigmas][:, None]) for v in normalized), matrix.p)
     return ProfileSample(1, [(v,) for v in normalized], measures, None, "exact_orbit")
 
 

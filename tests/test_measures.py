@@ -777,17 +777,31 @@ def test_windowed_dedup_with_overflowing_projections():
         assert _dedup(keys, TOL) == dedup_reference(keys, TOL) == [0, 1, 3]
 
 
-def test_from_arrays_equals_from_measures_of_the_rows():
+def _same_members(built, expected) -> bool:
+    return ([mu._key.tobytes() for mu in built] == [mu._key.tobytes() for mu in expected]
+            and [mu.mean.tobytes() for mu in built] == [mu.mean.tobytes() for mu in expected])
+
+
+@pytest.mark.parametrize("blocks", [1, 3, 60])
+def test_from_arrays_equals_from_measures_of_the_rows(blocks):
     rng = np.random.default_rng(5)
     points = rng.integers(-2, 3, (60, 4, 2)) / 3.0
     points[::7, 1] = points[::7, 0] + 1e-13  # rows through the merge loop
     weights = random_weights(rng, 4)
-    batch = mm.MeasureSet.from_arrays(points, weights).members
-    single = mm.MeasureSet.from_measures(mm.WeightedPointMeasure(p, weights)
-                                         for p in points).members
+    batch = mm.MeasureSet.from_arrays(np.array_split(points, blocks), weights)
+    single = mm.MeasureSet.from_measures(mm.WeightedPointMeasure(p, weights) for p in points)
     assert any(mu.atom_count < 4 for mu in batch)
-    assert [mu._key.tobytes() for mu in batch] == [mu._key.tobytes() for mu in single]
-    assert [mu.mean.tobytes() for mu in batch] == [mu.mean.tobytes() for mu in single]
+    assert _same_members(batch, single)
+
+
+def test_from_arrays_dedups_across_stacks_by_insertion_order():
+    # b lies within tol of a and of c, c beyond tol of a: the greedy rule over
+    # all rows keeps a and c, where deduplicating each stack on its own and
+    # then the survivors would keep a alone.
+    a, b, c = ([[i * SET_DEDUP_TOL]] for i in range(3))
+    built = mm.MeasureSet.from_arrays([np.array([a]), np.array([b, c])], [1.0])
+    single = mm.MeasureSet.from_measures(mm.WeightedPointMeasure(x, [1.0]) for x in (a, b, c))
+    assert len(built) == 2 and _same_members(built, single)
 
 
 def _error(build):
@@ -800,29 +814,39 @@ def _error(build):
                                    "negative weight", "weight sum", "no rows", "no atoms",
                                    "no coordinates"])
 def test_from_arrays_raises_what_the_measures_raise(fault):
-    points, weights = np.zeros((3, 2, 2)), np.full((3, 2), 0.5)
+    points, weights = np.zeros((3, 2, 2)), np.full(2, 0.5)
     points[:, 1] = 1.0
     if fault == "nan":
         points[1, 0, 1] = np.nan
     elif fault == "inf":
         points[2, 1, 0] = -np.inf
     elif fault == "inf weight":
-        weights[1] = [np.inf, 0.5]
+        weights = np.array([np.inf, 0.5])
     elif fault == "zero weight":
-        weights[1] = [0.0, 1.0]
+        weights = np.array([0.0, 1.0])
     elif fault == "negative weight":
-        weights[2] = [-0.5, 1.5]
+        weights = np.array([-0.5, 1.5])
     elif fault == "weight sum":
-        weights[1] = [0.5, 0.5 + 1e-9]
+        weights = np.array([0.5, 0.5 + 1e-9])
     elif fault == "no rows":
-        points, weights = points[:0], weights[:0]
+        points = points[:0]
     elif fault == "no atoms":
-        points, weights = points[:, :0], weights[:, :0]
+        points, weights = points[:, :0], weights[:0]
     else:
         points = points[..., :0]
     single = _error(lambda: mm.MeasureSet.from_measures(
-        [mm.WeightedPointMeasure(p, w) for p, w in zip(points, weights)]))
-    assert _error(lambda: mm.MeasureSet.from_arrays(points, weights)) == single
+        [mm.WeightedPointMeasure(p, weights) for p in points]))
+    assert _error(lambda: mm.MeasureSet.from_arrays([points], weights)) == single
+
+
+def test_from_arrays_rejects_mismatched_shapes():
+    points = np.zeros((3, 2, 2))
+    with pytest.raises(ValueError, match="stack"):
+        mm.MeasureSet.from_arrays([points], np.full((3, 2), 0.5))
+    with pytest.raises(ValueError, match="stack"):
+        mm.MeasureSet.from_arrays([points[0]], np.full(2, 0.5))
+    with pytest.raises(ValueError, match="of one d"):
+        mm.MeasureSet.from_arrays([points, np.zeros((1, 2, 3))], np.full(2, 0.5))
 
 
 def test_measure_sets_equal():

@@ -151,14 +151,13 @@ class BuildCounter:
         sets.from_measures = classmethod(counted_from_measures)
         from_arrays = getattr(sets, "from_arrays", None)
         if from_arrays is not None:
-            def counted_from_arrays(klass, points, weights, *args, **kwargs):
-                points = np.asarray(points, dtype=float)
-                weights = np.broadcast_to(weights, points.shape[:2])
+            def counted_from_arrays(klass, stacks, weights):
+                stacks = [np.asarray(points, dtype=float) for points in stacks]
                 self.quiet = True
-                keys = [cls(p, w)._key for p, w in zip(points, weights)]
+                keys = [cls(p, weights)._key for points in stacks for p in points]
                 self.quiet = False
-                self.record(keys, sum(len(key) < points.shape[1] for key in keys))
-                return self.members(from_arrays(points, weights, *args, **kwargs))
+                self.record(keys, sum(len(key) < len(weights) for key in keys))
+                return self.members(from_arrays(stacks, weights))
 
             sets.from_arrays = classmethod(counted_from_arrays)
 
