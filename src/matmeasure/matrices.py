@@ -63,19 +63,23 @@ class MeasuredMatrix:
         return f"MeasuredMatrix(n={self.n})"
 
 
-def generate_measure(matrix: MeasuredMatrix, x) -> WeightedPointMeasure:
-    """The planar measure with atoms (x_i, (Ax)_i) weighted by p_i."""
+def _vector(matrix: MeasuredMatrix, x) -> np.ndarray:
+    """``x`` as a flat float vector of the matrix's order."""
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != matrix.n:
         raise ValueError(f"vector length {x.shape[0]} != matrix order {matrix.n}")
+    return x
+
+
+def generate_measure(matrix: MeasuredMatrix, x) -> WeightedPointMeasure:
+    """The planar measure with atoms (x_i, (Ax)_i) weighted by p_i."""
+    x = _vector(matrix, x)
     return WeightedPointMeasure(np.column_stack((x, matrix.entries @ x)), matrix.p)
 
 
 def marginal_first(matrix: MeasuredMatrix, x) -> WeightedPointMeasure:
     """Projection of the generated measure onto its first coordinate."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != matrix.n:
-        raise ValueError(f"vector length {x.shape[0]} != matrix order {matrix.n}")
+    x = _vector(matrix, x)
     return WeightedPointMeasure(x[:, None], matrix.p)
 
 
@@ -104,9 +108,7 @@ def orbit_measures(matrix: MeasuredMatrix, x) -> MeasureSet:
     Exact n! enumeration; orders above ``FACTORIAL_LIMIT`` are rejected (use
     sampled profiles there instead).
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != matrix.n:
-        raise ValueError(f"vector length {x.shape[0]} != matrix order {matrix.n}")
+    x = _vector(matrix, x)
     if matrix.n > FACTORIAL_LIMIT:
         raise ValueError(
             f"order {matrix.n} exceeds the factorial enumeration limit "

@@ -12,14 +12,17 @@ with N_eps(S) the atoms of nu within eps of S.  Each subset alone is
 feasible from a threshold g_S on, which has a closed form in the sorted
 distances from S to the atoms of nu, and the distance is the largest g_S.
 
-Two exact kernels evaluate this:
+One evaluator, ``_pair_lp``, gives every LP value: ``lp_distance`` and
+``lp_feasible`` ask it for one pair, ``hausdorff_distance`` and
+``min_pairwise_lp`` for batches.  It answers pairs equal within
+``SET_DEDUP_TOL`` with 0.0, orients the others, and hands them to one of two
+exact kernels:
 
 * the subset min-cut kernel (``_lp_subsets``) enumerates all 2^m subsets of
-  the smaller support with numpy, for one pair or for a batch of pairs in
-  ``_pair_lp``, the one all-pairs path behind ``hausdorff_distance`` and
-  ``min_pairwise_lp``.  It runs whenever the smaller support has at most
-  ``SUBSET_KERNEL_MAX_ATOMS`` atoms, the measured crossover, and the subset
-  table fits in ``_SUBSET_TABLE_MAX_CELLS`` cells;
+  the smaller support with numpy, for a batch of pairs at once.  It runs
+  whenever the smaller support has at most ``SUBSET_KERNEL_MAX_ATOMS``
+  atoms, the measured crossover, and the subset table fits in
+  ``_SUBSET_TABLE_MAX_CELLS`` cells;
 * above that, Dinic max flow (``flows.bipartite_max_flow``) runs at the
   pairwise support distances, which are the breakpoints of the step
   function F, and a binary search over them finds the exact infimum.
@@ -313,23 +316,6 @@ def _point_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def _check_metric(metric: str) -> None:
-    # Checked up front: equal measures are at distance 0 under any metric,
-    # so without it a misspelt metric would pass unnoticed on equal inputs.
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-
-
-def _check_pair(mu: WeightedPointMeasure, nu: WeightedPointMeasure) -> None:
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-
-
-def _canonical_key(mu: WeightedPointMeasure) -> tuple[int, bytes]:
-    """Order that fixes which side of a pair comes first: fewer atoms first."""
-    return mu.atom_count, mu._key.tobytes()
-
-
 def _uses_subset_kernel(m_small: int, m_large: int) -> bool:
     """Whether a pair with these support sizes goes to the subset kernel."""
     return (m_small <= SUBSET_KERNEL_MAX_ATOMS
@@ -353,8 +339,7 @@ def _lp_subsets(dist: np.ndarray, a: np.ndarray, b: np.ndarray,
     distance is max_S g_S, capped at 1.  Every step is elementwise or runs
     along one row, so a pair gets the same bits in any batch.  The tables
     live in ``work``, a flat float buffer of at least ``_subset_cells``
-    cells, which a caller reuses across batches.  It is the one subset kernel,
-    for ``lp_distance``, ``_pair_lp`` and so ``lp_feasible``.
+    cells, which a caller reuses across batches.  Only ``_pair_lp`` calls it.
     """
     p, m1, m2 = dist.shape
     cells = (p << m1) * m2
@@ -427,56 +412,45 @@ def lp_feasible(mu: WeightedPointMeasure, nu: WeightedPointMeasure, eps: float,
                 metric: str = "euclidean") -> bool:
     """Whether ``eps`` is feasible for the Levy-Prokhorov inequalities.
 
-    The distance is the least feasible eps, so eps is feasible iff eps >= 1
-    or ``lp_distance(mu, nu, metric) <= eps + MASS_SLACK``; NaN raises.
+    The distance is the least feasible eps, so eps is feasible iff
+    ``lp_distance(mu, nu, metric) <= eps + MASS_SLACK``; NaN raises.
     """
-    _check_metric(metric)
-    _check_pair(mu, nu)
     eps = float(eps)
     if not eps >= 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    return eps >= 1.0 or lp_distance(mu, nu, metric) <= eps + MASS_SLACK
+    return lp_distance(mu, nu, metric) <= eps + MASS_SLACK
 
 
 def lp_distance(mu: WeightedPointMeasure, nu: WeightedPointMeasure,
                 metric: str = "euclidean") -> float:
-    """Exact Levy-Prokhorov distance between two discrete measures.
-
-    The subset min-cut kernel serves pairs whose smaller support has at most
-    ``SUBSET_KERNEL_MAX_ATOMS`` atoms; larger pairs use the Dinic
-    breakpoint search.  Measures equal within ``SET_DEDUP_TOL`` are at
-    distance exactly 0, which keeps distances between a matrix and its
-    relabelings identically zero.
-    """
-    _check_metric(metric)
-    _check_pair(mu, nu)
-    if measure_equal(mu, nu, SET_DEDUP_TOL):
-        return 0.0
-    # Canonical orientation so the float result is exactly symmetric; it also
-    # puts the smaller support first.
-    if _canonical_key(nu) < _canonical_key(mu):
-        mu, nu = nu, mu
-    dist = _point_distances(mu.points, nu.points, metric)
-    if _uses_subset_kernel(mu.atom_count, nu.atom_count):
-        return float(_lp_subsets(dist[None], mu.weights[None], nu.weights[None])[0])
-    return _lp_breakpoints(dist, mu.weights, nu.weights)
+    """Exact Levy-Prokhorov distance between two discrete measures: the one
+    pair of ``_pair_lp``, which decides the equality rule, the orientation
+    and the kernel for every LP value."""
+    return float(_pair_lp((mu, nu), metric)(0, [1])[0])
 
 
 def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str):
-    """LP distances between pairs of ``members``, batched by atom counts.
+    """The Levy-Prokhorov evaluator: LP distances between pairs of ``members``.
 
     Returns ``lp(i, j)``: for index arrays ``i``, ``j`` into ``members`` (or
-    one scalar; i != j), those pairs' LP distances, each bit for bit what
-    ``lp_distance`` returns.  A pair is oriented by canonical rank, the way
-    ``lp_distance`` orients it; pairs with the same two atom counts share
-    subset-kernel calls in chunks of about ``_CHUNK_CELLS`` table cells,
-    which reuse one work buffer per call.  Equal pairs (``measure_equal``)
-    give 0.0; pairs too big for the kernel call ``lp_distance``.
+    one scalar; i != j), those pairs' LP distances.  Pairs with one atom
+    count whose canonical keys lie within ``SET_DEDUP_TOL`` (``measure_equal``)
+    are at distance exactly 0.0, which keeps distances between a matrix and
+    its relabelings identically zero.  Every other pair is oriented by
+    canonical rank (fewer atoms first, then key bytes), so the value is
+    exactly symmetric and the smaller support comes first.  Pairs with the
+    same two atom counts share subset-kernel calls in chunks of about
+    ``_CHUNK_CELLS`` table cells, which reuse one work buffer per call; pairs
+    too big for the kernel go one at a time to the Dinic breakpoint search.
     """
-    _check_metric(metric)
+    # Checked up front: equal pairs are at distance 0 under any metric, so
+    # without it a misspelt metric would pass unnoticed on equal inputs.
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if len(dims := {mu.dim for mu in members}) > 1:
         raise ValueError(f"measures must share a dimension; found {sorted(dims)}")
-    rank = np.argsort(sorted(range(len(members)), key=lambda k: _canonical_key(members[k])))
+    rank = np.argsort(sorted(range(len(members)), key=lambda k: (
+        members[k].atom_count, members[k]._key.tobytes())))
     counts = np.array([mu.atom_count for mu in members], dtype=np.intp)
     slot = np.empty(len(members), dtype=np.intp)
     # A member's canonical key holds its points, and its weights in the last column.
@@ -489,29 +463,27 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str):
     def lp(i, j) -> np.ndarray:
         swap = rank[j] < rank[i]
         first, second = np.where(swap, j, i), np.where(swap, i, j)
-        out = np.empty(len(first))
+        out = np.zeros(len(first))
         m1, m2 = counts[first], counts[second]
         groups = []
         for a, b in set(zip(m1.tolist(), m2.tolist())):
-            pairs = ((m1 == a) & (m2 == b)).nonzero()[0]
-            if not _uses_subset_kernel(a, b):
-                out[pairs] = [lp_distance(members[p], members[q], metric)
-                              for p, q in zip(first[pairs].tolist(), second[pairs].tolist())]
-            else:
-                groups.append((a, b, pairs, max(1, _CHUNK_CELLS // (b << a))))
+            kernel = _uses_subset_kernel(a, b)
+            step = max(1, _CHUNK_CELLS // (b << a)) if kernel else 1
+            groups.append((a, b, ((m1 == a) & (m2 == b)).nonzero()[0], kernel, step))
         work = np.empty(max((_subset_cells(min(step, len(pairs)), a, b)
-                             for a, b, pairs, step in groups), default=0))
-        for a, b, pairs, step in groups:
+                             for a, b, pairs, kernel, step in groups if kernel), default=0))
+        for a, b, pairs, kernel, step in groups:
             for start in range(0, len(pairs), step):
                 chunk = pairs[start:start + step]
                 key1, key2 = keys[a][slot[first[chunk]]], keys[b][slot[second[chunk]]]
                 if a == b:
-                    equal = (np.abs(key1 - key2) <= SET_DEDUP_TOL).all(axis=(1, 2))
-                    out[chunk[equal]] = 0.0
-                    chunk, key1, key2 = chunk[~equal], key1[~equal], key2[~equal]
+                    # Equal pairs keep their 0.0.
+                    unequal = ~(np.abs(key1 - key2) <= SET_DEDUP_TOL).all(axis=(1, 2))
+                    chunk, key1, key2 = chunk[unequal], key1[unequal], key2[unequal]
                 if len(chunk):
                     dist = _point_distances(key1[..., :-1], key2[..., :-1], metric)
-                    out[chunk] = _lp_subsets(dist, key1[..., -1], key2[..., -1], work)
+                    out[chunk] = (_lp_subsets(dist, key1[..., -1], key2[..., -1], work) if kernel
+                                  else _lp_breakpoints(dist[0], key1[0, :, -1], key2[0, :, -1]))
         return out
 
     return lp
@@ -572,13 +544,10 @@ def _directed(lp, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     while len(queue) and best[queue[0]] > cmax:
         take = min(size, cap)
         live, queue, size = queue[:take].tolist(), queue[take:], 2 * size
-        orders: dict[int, np.ndarray] = {}
+        gaps = _mean_gaps(means_b, means[rows[live]])
+        orders = dict(zip(live, np.argsort(gaps, axis=1, kind="stable")))
         lo, hi = 0, 3
         while live := [r for r in live if best[r] > cmax]:
-            for r in live:
-                if r not in orders:
-                    gaps = _mean_gaps(means_b, means[rows[r], None])[0]
-                    orders[r] = np.argsort(gaps, kind="stable")
             blocks = [orders[r][lo:hi] for r in live]
             todo = [(r, block[np.isnan(table[r, block])]) for r, block in zip(live, blocks)]
             i = np.concatenate([np.full(len(j), r) for r, j in todo])
@@ -590,9 +559,6 @@ def _directed(lp, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             if hi >= len(cols):
                 cmax = max(cmax, max(best[r] for r in live))
                 break
-            for r in live:
-                if best[r] <= cmax:
-                    del orders[r]
             lo, hi = hi, 2 * hi + 1
     return cmax
 

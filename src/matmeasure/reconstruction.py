@@ -240,6 +240,15 @@ def _epsilon(v: np.ndarray, orbit, k_bound: float, metric: str = "euclidean") ->
     return min(min_pairwise_lp(orbit, metric) / 2.0, eps)
 
 
+def _k_bound(norm_bound: float) -> float:
+    """The norm bound K of the isolation conditions: ``norm_bound`` rounded up
+    to 1.  A NaN, infinite or negative bound raises instead of reading as 1."""
+    k = float(norm_bound)
+    if not 0.0 <= k < np.inf:
+        raise ValueError(f"norm_bound must be finite and nonnegative, got {k!r}")
+    return max(1.0, k)
+
+
 def max_orbit_vector(matrix: MeasuredMatrix, trials: int = 20,
                      rng_seed: int = 0) -> np.ndarray:
     """The test vector ``reconstruct`` picks: best of ``trials`` random
@@ -266,8 +275,7 @@ def choose_epsilon(matrix: MeasuredMatrix, v, norm_bound: float | None = None,
     singleton orbit only the ordering condition binds.
     """
     v = np.asarray(v, dtype=float).ravel()
-    k_bound = max(1.0, float(norm_bound) if norm_bound is not None
-                  else norm_inf_to_1(matrix).value)
+    k_bound = _k_bound(norm_inf_to_1(matrix).value if norm_bound is None else norm_bound)
     return _epsilon(v, orbit_measures(matrix, v), k_bound, metric)
 
 
@@ -323,7 +331,8 @@ def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
 
     Requires uniform index weights and a hidden order within the factorial
     enumeration range.  ``norm_bound`` defaults to the oracle's disclosed
-    norm bound.  When a perturbed orbit fails to contain a unique measure
+    norm bound; a bound below 1 counts as 1, and a NaN, infinite or negative
+    one raises.  When a perturbed orbit fails to contain a unique measure
     within epsilon/4 of its base partner, epsilon is halved (at most
     ``max_halvings`` times); a degenerate ordered support triggers a fresh
     test vector instead.
@@ -333,8 +342,7 @@ def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
         raise ValueError(f"reconstruction limited to orders 2..{IRREDUCIBLE_LIMIT}")
     if not np.allclose(oracle.weights, np.full(n, 1.0 / n), atol=1e-12):
         raise ValueError("reconstruction requires uniform index weights")
-    k_bound = max(1.0, float(norm_bound) if norm_bound is not None
-                  else oracle.norm_bound())
+    k_bound = _k_bound(oracle.norm_bound() if norm_bound is None else norm_bound)
     rng = np.random.default_rng(rng_seed)
 
     for _ in range(8):  # fresh test vector on degenerate draws

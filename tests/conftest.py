@@ -1,8 +1,9 @@
 import numpy as np
 
 import matmeasure as mm
-from matmeasure.measures import (ATOM_MERGE_TOL, MASS_SLACK, SET_DEDUP_TOL, _check_pair,
-                                 _point_distances)
+from matmeasure.measures import (ATOM_MERGE_TOL, MASS_SLACK, METRICS, SET_DEDUP_TOL,
+                                 _lp_breakpoints, _lp_subsets, _point_distances,
+                                 _uses_subset_kernel)
 
 # 3x3 worked example: row sums (2, 1, 2), commutant of order 2.
 EXAMPLE_A = np.array([[0.0, 1.0, 1.0],
@@ -50,10 +51,28 @@ def all_labeled_graphs(n: int):
         yield mm.Graph(n, [pairs[t] for t in range(len(pairs)) if bits >> t & 1])
 
 
+def lp_reference(mu: mm.WeightedPointMeasure, nu: mm.WeightedPointMeasure,
+                 metric: str = "euclidean") -> float:
+    """One pair's LP distance on its own path, outside the batched evaluator:
+    0.0 for pairs that ``measure_equal`` holds for; otherwise the pair, with
+    fewer atoms (then smaller key bytes) first, goes to the subset kernel
+    where ``_uses_subset_kernel`` allows and to the Dinic search elsewhere."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    if mm.measure_equal(mu, nu, SET_DEDUP_TOL):
+        return 0.0
+    if (nu.atom_count, nu._key.tobytes()) < (mu.atom_count, mu._key.tobytes()):
+        mu, nu = nu, mu
+    dist = _point_distances(mu.points, nu.points, metric)
+    if _uses_subset_kernel(mu.atom_count, nu.atom_count):
+        return float(_lp_subsets(dist[None], mu.weights[None], nu.weights[None])[0])
+    return _lp_breakpoints(dist, mu.weights, nu.weights)
+
+
 def hausdorff_reference(x: mm.MeasureSet, y: mm.MeasureSet, metric: str = "euclidean") -> float:
-    """Unpruned Hausdorff distance: the full ``lp_distance`` table, then the
+    """Unpruned Hausdorff distance: the full ``lp_reference`` table, then the
     larger of the largest row minimum and the largest column minimum."""
-    table = np.array([[mm.lp_distance(a, b, metric) for b in y] for a in x])
+    table = np.array([[lp_reference(a, b, metric) for b in y] for a in x])
     return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
 
 
@@ -118,7 +137,8 @@ def lp_oracle(mu: mm.WeightedPointMeasure, nu: mm.WeightedPointMeasure,
     defining inequalities hold over every union of support atoms is
     returned.  Requires at most 16 distinct support points in total.
     """
-    _check_pair(mu, nu)
+    if mu.dim != nu.dim:
+        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     points, w1, w2 = _combined_support(mu, nu)
     k_pts = len(points)
     if k_pts > _ORACLE_MAX_POINTS:

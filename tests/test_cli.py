@@ -55,6 +55,14 @@ def test_reconstruct_round_trip(inputs, capsys):
     assert "queries:" in out
 
 
+@pytest.mark.parametrize("bound", ["nan", "inf", "-3"])
+def test_reconstruct_rejects_a_bad_norm_bound(inputs, capsys, bound):
+    assert main(["reconstruct", str(inputs / "ex41.mat"), "--norm-bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "norm_bound must be finite and nonnegative" in captured.err
+
+
 def test_dist_identical_inputs_is_zero(inputs, capsys):
     code = main(["dist", str(inputs / "c4.graph"), str(inputs / "c4.graph"),
                  "--samples", "25", "--kmax", "2"])

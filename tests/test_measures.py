@@ -7,7 +7,7 @@ from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (MASS_SLACK, SET_DEDUP_TOL, SUBSET_KERNEL_MAX_ATOMS, _dedup,
                                  _lp_breakpoints, _lp_subsets, _point_distances)
 from conftest import (dedup_reference, four_vertex_classes, hausdorff_reference, lp_oracle,
-                      measure_set_reference, random_measure, random_weights)
+                      lp_reference, measure_set_reference, random_measure, random_weights)
 
 HALF = 0.5
 
@@ -260,6 +260,45 @@ def test_lp_distance_picks_the_kernel_by_support_sizes():
         assert abs(kernel - dinic) <= 1e-12
         expected = kernel if kernel_expected else dinic
         assert mm.lp_distance(mu, nu) == expected == mm.lp_distance(nu, mu)
+
+
+def test_lp_distance_is_symmetric_and_equals_the_reference():
+    # The one evaluator against the single-pair reference path: kernel- and
+    # Dinic-sized pairs (1-14 atoms), mixed atom counts, both metrics, and
+    # pairs equal within the dedup tolerance, down to 12 atoms.
+    rng = np.random.default_rng(36)
+    seen = {"dinic": 0, "equal": 0, "equal_12": 0, "mixed": 0}
+    for trial in range(1200):
+        metric, dim = mm.measures.METRICS[trial % 2], 1 + trial % 3
+        if trial % 5 == 0:
+            m = 12 if trial % 25 == 0 else int(rng.integers(1, 15))
+            mu = kernel_pair(rng, m, 1, dim)[0]
+            nu = mm.WeightedPointMeasure(mu.points + rng.uniform(-4e-10, 4e-10, mu.points.shape),
+                                         mu.weights)
+            assert mm.measure_equal(mu, nu)
+            seen["equal"] += 1
+            seen["equal_12"] += mu.atom_count == 12
+        else:
+            mu, nu = kernel_pair(rng, *(int(m) for m in rng.integers(1, 15, 2)), dim)
+            seen["dinic"] += min(mu.atom_count, nu.atom_count) > SUBSET_KERNEL_MAX_ATOMS
+        seen["mixed"] += mu.atom_count != nu.atom_count
+        value = mm.lp_distance(mu, nu, metric)
+        assert value == mm.lp_distance(nu, mu, metric) == lp_reference(mu, nu, metric)
+    assert seen["dinic"] >= 50 and seen["equal"] >= 200 and seen["equal_12"] >= 30
+    assert seen["mixed"] >= 500
+
+
+def test_lp_feasible_at_eps_one_or_more_computes_the_distance():
+    far = mm.WeightedPointMeasure([[0.0, 0.0], [9.0, 0.0]], [HALF, HALF])
+    rng = np.random.default_rng(37)
+    big = kernel_pair(rng, 12, 13)
+    for eps in (1.0, 1.5, float("inf")):
+        assert mm.lp_feasible(far, mm.dirac([50.0, 0.0]), eps)
+        assert mm.lp_feasible(*big, eps, "chebyshev")
+        with pytest.raises(ValueError, match="unknown metric"):
+            mm.lp_feasible(far, far, eps, "bogus")
+        with pytest.raises(ValueError, match="share a dimension"):
+            mm.lp_feasible(far, mm.dirac([0.0, 0.0, 0.0]), eps)
 
 
 def test_feasibility_decision_matches_dinic():
@@ -532,14 +571,14 @@ def bitwise_key(mu):
 
 def twin_free_reference(x, y, metric="euclidean"):
     """``hausdorff_reference`` without the rows and columns of members that
-    have a bitwise twin on the other side: ``lp_distance`` of a measure with
+    have a bitwise twin on the other side: ``lp_reference`` of a measure with
     an equal copy is 0.0, so their minimum is 0.  The other rows and columns
     are evaluated in full."""
     keys_x, keys_y = {bitwise_key(mu) for mu in x}, {bitwise_key(mu) for mu in y}
     lone_x = [mu for mu in x if bitwise_key(mu) not in keys_y]
     lone_y = [mu for mu in y if bitwise_key(mu) not in keys_x]
-    return max([0.0] + [min(mm.lp_distance(a, b, metric) for b in y) for a in lone_x]
-               + [min(mm.lp_distance(a, b, metric) for a in x) for b in lone_y])
+    return max([0.0] + [min(lp_reference(a, b, metric) for b in y) for a in lone_x]
+               + [min(lp_reference(a, b, metric) for a in x) for b in lone_y])
 
 
 @pytest.mark.parametrize("metric", mm.measures.METRICS)
@@ -645,7 +684,7 @@ def test_batched_pairs_equal_single_pairs_across_chunks(metric):
     members += members[:3]
     rows, cols = np.triu_indices(len(members), 1)
     batched = mm.measures._pair_lp(members, metric)(rows, cols)
-    single = [mm.lp_distance(members[i], members[j], metric) for i, j in zip(rows, cols)]
+    single = [lp_reference(members[i], members[j], metric) for i, j in zip(rows, cols)]
     assert np.array_equal(batched, single)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import matmeasure as mm
 from matmeasure.reconstruction import DegenerateSupportError
-from conftest import (EXAMPLE_A, EXAMPLE_B, four_vertex_classes, random_measure,
+from conftest import (EXAMPLE_A, EXAMPLE_B, four_vertex_classes, lp_reference, random_measure,
                       random_weights)
 
 
@@ -164,7 +164,7 @@ def test_choose_epsilon_combines_both_conditions():
 
 
 def all_pairs_minimum(members, metric="euclidean"):
-    return min(mm.lp_distance(a, b, metric) for a, b in itertools.combinations(members, 2))
+    return min(lp_reference(a, b, metric) for a, b in itertools.combinations(members, 2))
 
 
 def test_min_pairwise_lp_equals_lp_distance_minimum_on_an_orbit():
@@ -313,6 +313,24 @@ def test_reconstruct_rejects_large_orders():
 def test_reconstruct_rejects_order_one():
     with pytest.raises(ValueError, match="orders 2"):
         mm.reconstruct(mm.MeasureOracle(mm.MeasuredMatrix([[2.0]])))
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), -3.0, -1e-300])
+def test_norm_bound_must_be_finite_and_nonnegative(bound):
+    m = mm.MeasuredMatrix(EXAMPLE_A)
+    with pytest.raises(ValueError, match="norm_bound must be finite and nonnegative"):
+        mm.reconstruct(mm.MeasureOracle(m), norm_bound=bound)
+    with pytest.raises(ValueError, match="norm_bound must be finite and nonnegative"):
+        mm.choose_epsilon(m, [3.0, 1.0, 2.0], norm_bound=bound)
+
+
+def test_norm_bound_below_one_counts_as_one():
+    m = mm.MeasuredMatrix(np.eye(3))
+    for bound in (0.0, 0.5):
+        assert (mm.choose_epsilon(m, [1.0, 2.0, 3.0], norm_bound=bound)
+                == mm.choose_epsilon(m, [1.0, 2.0, 3.0], norm_bound=1.0))
+    oracle = mm.MeasureOracle(mm.MeasuredMatrix(EXAMPLE_A))
+    assert mm.switching_witness(mm.reconstruct(oracle, norm_bound=0.0), EXAMPLE_A) is not None
 
 
 # ---------------------------------------------------------------------------

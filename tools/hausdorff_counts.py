@@ -31,7 +31,17 @@ the checkout has it, are wrapped on their class.  Run it alone with
 
     python3 tools/hausdorff_counts.py build
 
-The P7 profile takes 15-30 s where dedup is quadratic.
+The P7 profile takes about 0.5 s.
+
+The ``lp`` case evaluates ``lp_distance`` on single pairs of a fixed seeded
+corpus: kernel-sized pairs (1-10 atoms), Dinic-sized pairs (11-16 atoms),
+pairs equal within the dedup tolerance (1-14 atoms), mixed counts (1-10
+against 11-20 atoms), uniform and random weights, both metrics.  It gives
+each value as ``float.hex`` and their sha256.  No benchmark workload
+reaches the Dinic path, so this case is what pins its bits.  Run it alone
+with
+
+    python3 tools/hausdorff_counts.py lp
 """
 
 from __future__ import annotations
@@ -55,6 +65,10 @@ import workloads  # noqa: E402
 
 SEED = 1
 ORBIT_SEED = 17
+LP_SEED = 15
+LP_PAIRS = 400
+# Atom-count ranges of the two sides: kernel-sized, Dinic-sized, (equal pairs), mixed.
+LP_SIZES = {0: ((1, 11), (1, 11)), 1: ((11, 17), (11, 17)), 3: ((1, 11), (11, 21))}
 # A vertex permutation that is not an automorphism of C6.
 RELABEL = (0, 2, 4, 1, 3, 5)
 
@@ -196,6 +210,30 @@ def build_case() -> dict:
     return out
 
 
+def lp_pair(rng: np.random.Generator, kind: int, dim: int):
+    """One corpus pair of the ``lp`` case; ``kind`` picks its sizes."""
+    def measure(m: int):
+        points = rng.uniform(-1.0, 1.0, (m, dim)) * float(rng.choice([0.3, 1.0]))
+        weights = np.full(m, 1.0 / m) if rng.random() < 0.5 else rng.random(m) + 0.1
+        return mm.WeightedPointMeasure(points, weights / weights.sum())
+
+    if kind == 2:
+        mu = measure(int(rng.integers(1, 15)))
+        near = mu.points + rng.uniform(-4e-10, 4e-10, mu.points.shape)
+        return mu, mm.WeightedPointMeasure(near, mu.weights)
+    return tuple(measure(int(rng.integers(*sizes))) for sizes in LP_SIZES[kind])
+
+
+def lp_case() -> dict:
+    rng = np.random.default_rng(LP_SEED)
+    values = []
+    for trial in range(LP_PAIRS):
+        mu, nu = lp_pair(rng, trial % 4, 1 + trial % 3)
+        values.append(float(mm.lp_distance(mu, nu, mm.measures.METRICS[trial // 4 % 2])).hex())
+    return {"pairs": len(values), "values": values,
+            "values_sha256": hashlib.sha256(" ".join(values).encode()).hexdigest()}
+
+
 def run_ops(name: str, kind: str | None = None) -> str:
     """Run the seed-1 ops of a workload, or of one kind in it; their joined stdout."""
     out = io.StringIO()
@@ -228,6 +266,10 @@ def main() -> None:
     if sys.argv[1:] == ["build"]:
         print(json.dumps({"build": build_case()}))
         return
+    if sys.argv[1:] == ["lp"]:
+        print(json.dumps({"lp": lp_case()}))
+        return
+    lp = lp_case()
     counter = Counter()
     out = {name: workload_case(counter, name) for name in ("dist-small", "orbit-census")}
     cfg = mm.SamplingConfig(mode="exact_orbit", seed=ORBIT_SEED)
@@ -238,6 +280,7 @@ def main() -> None:
         out[key] = counter.result()
     out["reconstruct"] = reconstruct_case(counter)
     out["build"] = build_case()
+    out["lp"] = lp
     print(json.dumps(out))
 
 
