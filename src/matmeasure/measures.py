@@ -65,10 +65,10 @@ SUBSET_KERNEL_MAX_ATOMS = 10
 # the kernel's three table-sized arrays under 32 MB; larger pairs use Dinic.
 _SUBSET_TABLE_MAX_CELLS = 1 << 20
 # Subset-table cells per chunk of pairs in _pair_lp, which keeps the kernel's
-# work buffer and argsort near 0.2 MB.  It also bounds the pairs of one
-# Hausdorff round and the rows of one nearest-mean block.  The traced peak
-# of one exact-orbit dist of 360 x 60 members (house vs K(2,3)) is 1.05 MB
-# with it, and was 1.8 MB with 1 << 15.
+# work buffer and argsort near 0.2 MB.  It also bounds the candidate orders
+# of one Hausdorff wave and the squared gaps of one block of sketch rows.
+# The traced peak of one exact-orbit dist of 360 x 60 members (house vs
+# K(2,3)) is 0.94 MB with it, and was 1.8 MB with 1 << 15.
 _CHUNK_CELLS = 1 << 13
 
 
@@ -157,7 +157,7 @@ class WeightedPointMeasure:
         Strictly positive atom weights summing to 1 within 1e-12.
     """
 
-    __slots__ = ("points", "weights", "_key", "_mean")
+    __slots__ = ("points", "weights", "_key")
 
     def __init__(self, points, weights):
         pts = np.asarray(points, dtype=float)
@@ -177,7 +177,6 @@ class WeightedPointMeasure:
         self.weights = np.ascontiguousarray(key[:, -1])
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
-        self._mean = self.weights @ self.points
         return self
 
     @property
@@ -191,7 +190,7 @@ class WeightedPointMeasure:
     @property
     def mean(self) -> np.ndarray:
         """Weighted mean of the atom locations."""
-        return self._mean
+        return self.weights @ self.points
 
     def to_text(self) -> str:
         """Serialize as ``d m`` followed by ``w x_1 ... x_d`` lines."""
@@ -429,7 +428,24 @@ def lp_distance(mu: WeightedPointMeasure, nu: WeightedPointMeasure,
     return float(_pair_lp((mu, nu), metric)(0, [1])[0])
 
 
-def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str):
+def _key_stacks(members: Sequence[WeightedPointMeasure]):
+    """The canonical keys of ``members`` stacked by atom count: ``counts`` (N,)
+    holds each member's atom count, ``stacks[m]`` (k_m, m, d + 1) the keys of
+    the members with m atoms in member order, and ``slot`` (N,) each member's
+    row in its stack.  A key holds its points, and its weights in the last column."""
+    if len(dims := {mu.dim for mu in members}) > 1:
+        raise ValueError(f"measures must share a dimension; found {sorted(dims)}")
+    counts = np.array([mu.atom_count for mu in members], dtype=np.intp)
+    slot = np.empty(len(members), dtype=np.intp)
+    stacks = {}
+    for m in set(counts.tolist()):
+        group = np.flatnonzero(counts == m)
+        slot[group] = np.arange(len(group))
+        stacks[m] = np.stack([members[k]._key for k in group])
+    return counts, slot, stacks
+
+
+def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
     """The Levy-Prokhorov evaluator: LP distances between pairs of ``members``.
 
     Returns ``lp(i, j)``: for index arrays ``i``, ``j`` into ``members`` (or
@@ -442,23 +458,15 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str):
     same two atom counts share subset-kernel calls in chunks of about
     ``_CHUNK_CELLS`` table cells, which reuse one work buffer per call; pairs
     too big for the kernel go one at a time to the Dinic breakpoint search.
+    ``stacks`` is ``_key_stacks(members)``, when the caller has built it.
     """
     # Checked up front: equal pairs are at distance 0 under any metric, so
     # without it a misspelt metric would pass unnoticed on equal inputs.
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if len(dims := {mu.dim for mu in members}) > 1:
-        raise ValueError(f"measures must share a dimension; found {sorted(dims)}")
+    counts, slot, keys = _key_stacks(members) if stacks is None else stacks
     rank = np.argsort(sorted(range(len(members)), key=lambda k: (
         members[k].atom_count, members[k]._key.tobytes())))
-    counts = np.array([mu.atom_count for mu in members], dtype=np.intp)
-    slot = np.empty(len(members), dtype=np.intp)
-    # A member's canonical key holds its points, and its weights in the last column.
-    keys = {}
-    for m in set(counts.tolist()):
-        group = np.flatnonzero(counts == m)
-        slot[group] = np.arange(len(group))
-        keys[m] = np.stack([members[k]._key for k in group])
 
     def lp(i, j) -> np.ndarray:
         swap = rank[j] < rank[i]
@@ -508,30 +516,52 @@ def _prejoin(table: np.ndarray, x: MeasureSet, y: MeasureSet) -> None:
             table[i, j] = 0.0
 
 
-def _mean_gaps(means_b: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Euclidean distances (R, C) from ``centers`` (R, d) to ``means_b`` (C, d)."""
-    square = np.subtract(means_b, centers[:, None])
-    np.multiply(square, square, out=square)
-    return np.sqrt(square.sum(axis=-1))
+def _quantile_sketch(counts: np.ndarray, stacks: dict) -> np.ndarray:
+    """Rows (N, 8 d): each member's weighted quantiles at levels (l + 1/2)/8,
+    l = 0..7, on every coordinate, from ``_key_stacks``.  The quantile at
+    level q is the first atom, in the coordinate's order, whose cumulative
+    weight reaches q.  The members of one exact orbit share their means far
+    more often than their quantiles, so the sketch tells them apart."""
+    levels = (np.arange(8) + 0.5) / 8
+    sketch = np.empty((len(counts), 8 * (next(iter(stacks.values())).shape[2] - 1)))
+    for m, keys in stacks.items():
+        order = np.argsort(keys[..., :-1], axis=1, kind="stable")
+        values = np.take_along_axis(keys[..., :-1], order, axis=1)
+        mass = np.take_along_axis(keys[..., -1:], order, axis=1).cumsum(axis=1)
+        # Weights sum to 1 within WEIGHT_SUM_TOL, so every level is reached.
+        first = (mass[:, :, None] < levels[:, None]).sum(axis=1)
+        sketch[counts == m] = np.take_along_axis(values, first, axis=1).reshape(len(keys), -1)
+    return sketch
 
 
-def _nearest(means: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Position in ``cols`` of each row's nearest mean, the first candidate of
-    its mean-proximity order, computed a bounded block of rows at a time."""
-    means_b = means[cols]
-    step = max(1, _CHUNK_CELLS // means_b.size)
-    out = np.empty(len(rows), dtype=np.intp)
+def _gap_blocks(sketch: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Yield ``(s, gaps)``: the Euclidean distances (R, C) from the sketches of
+    ``rows[s:s + R]`` to those of ``cols``, a block of R rows at a time, so
+    that the transient squares, w cells a pair, stay within ``_CHUNK_CELLS``."""
+    sketch_b = sketch[cols]
+    step = max(1, _CHUNK_CELLS // sketch_b.size)
     for s in range(0, len(rows), step):
-        out[s:s + step] = _mean_gaps(means_b, means[rows[s:s + step]]).argmin(axis=1)
+        square = np.subtract(sketch_b, sketch[rows[s:s + step], None])
+        np.multiply(square, square, out=square)
+        yield s, np.sqrt(square.sum(axis=-1))
+
+
+def _nearest(sketch: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Position in ``cols`` of each row's nearest sketch, the first candidate
+    of its sketch-proximity order."""
+    out = np.empty(len(rows), dtype=np.intp)
+    for s, gaps in _gap_blocks(sketch, rows, cols):
+        out[s:s + len(gaps)] = gaps.argmin(axis=1)
     return out
 
 
 def _directed(lp, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-              means: np.ndarray, cmax: float) -> float:
+              sketch: np.ndarray, cmax: float) -> float:
     """Raise ``cmax`` to the largest row minimum of ``table`` that exceeds it.
 
     Rows go in descending order of their running minimum, in waves of 1, 2,
-    4, ... rows; the live rows of a wave walk their mean-proximity orders
+    4, ... rows, capped so that a wave's orders fill at most ``_CHUNK_CELLS``
+    cells; the live rows of a wave walk their sketch-proximity orders
     together, in blocks of 2, 4, 8, ... candidates (the first candidate is
     already in the table), with one ``lp`` call per round.  A row dies once
     its minimum is at most ``cmax``, and only a row that has seen every
@@ -539,13 +569,14 @@ def _directed(lp, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     """
     best = np.nanmin(table, axis=1)
     queue = np.argsort(-best, kind="stable")
-    means_b, cap = means[cols], max(1, _CHUNK_CELLS // len(cols))
+    cap = max(1, _CHUNK_CELLS // len(cols))
     size = 1
     while len(queue) and best[queue[0]] > cmax:
         take = min(size, cap)
         live, queue, size = queue[:take].tolist(), queue[take:], 2 * size
-        gaps = _mean_gaps(means_b, means[rows[live]])
-        orders = dict(zip(live, np.argsort(gaps, axis=1, kind="stable")))
+        orders = {}
+        for s, gaps in _gap_blocks(sketch, rows[live], cols):
+            orders.update(zip(live[s:], np.argsort(gaps, axis=1, kind="stable")))
         lo, hi = 0, 3
         while live := [r for r in live if best[r] > cmax]:
             blocks = [orders[r][lo:hi] for r in live]
@@ -574,10 +605,11 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
       every pair whose canonical keys are bitwise equal, so a member that
       reappears in the other set costs no evaluation;
     * every row without such a zero, in both directions, gets its candidate
-      of nearest weighted atom mean, all in one evaluation call;
+      of nearest quantile sketch (``_quantile_sketch``), all in one
+      evaluation call;
     * each direction then visits its rows in descending order of their
       running minimum, in waves of 1, 2, 4, ... rows that walk their
-      mean-proximity orders together in blocks of 2, 4, 8, ... candidates,
+      sketch-proximity orders together in blocks of 2, 4, 8, ... candidates,
       one evaluation call per block.  A row stops once its minimum cannot
       raise the largest minimum found so far, in either direction.
 
@@ -587,23 +619,24 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
     if len(x) == 0 or len(y) == 0:
         raise ValueError("Hausdorff distance needs nonempty measure sets")
     members = x.members + y.members
-    lp = _pair_lp(members, metric)
-    means = np.stack([mu.mean for mu in members])
+    counts, slot, stacks = _key_stacks(members)
+    lp = _pair_lp(members, metric, (counts, slot, stacks))
+    sketch = _quantile_sketch(counts, stacks)
     table = np.full((len(x), len(y)), np.nan)
     _prejoin(table, x, y)
     in_x, in_y = np.arange(len(x)), np.arange(len(x), len(members))
     zero = table == 0.0
     rows, cols = np.flatnonzero(~zero.any(axis=1)), np.flatnonzero(~zero.any(axis=0))
-    first = np.sort(np.concatenate([rows * len(y) + _nearest(means, in_x[rows], in_y),
-                                    _nearest(means, in_y[cols], in_x) * len(y) + cols]))
+    first = np.sort(np.concatenate([rows * len(y) + _nearest(sketch, in_x[rows], in_y),
+                                    _nearest(sketch, in_y[cols], in_x) * len(y) + cols]))
     # Each pair once (np.unique would import numpy.ma, about 1 MB).
     first = first[np.diff(first, prepend=-1) != 0]
     i, j = np.divmod(first[np.isnan(table.ravel()[first])], len(y))
     if len(i):
         table[i, j] = lp(in_x[i], in_y[j])
     # The backward pass reads the transpose, so each pair is evaluated once.
-    cmax = _directed(lp, table, in_x, in_y, means, 0.0)
-    return _directed(lp, table.T, in_y, in_x, means, cmax)
+    cmax = _directed(lp, table, in_x, in_y, sketch, 0.0)
+    return _directed(lp, table.T, in_y, in_x, sketch, cmax)
 
 
 def pushforward_distance_bound(x_values: Sequence, y_values: Sequence,

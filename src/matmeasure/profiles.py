@@ -31,6 +31,11 @@ from .measures import MeasureSet, WeightedPointMeasure, hausdorff_distance
 MODES = ("sampled", "exact_orbit")
 HALTON_BLOCK = 32
 EXACT_ORBIT_LIMIT = 7
+# Rows of one stack handed to MeasureSet.from_arrays by exact_orbit_profile:
+# one order-7 orbit.  Consecutive orbits are joined up to it, so a profile of
+# order 6 or less costs one stack, while an order-7 profile keeps one orbit
+# per stack, and with it the memory of one orbit.
+_ORBIT_STACK_ROWS = 5040
 
 
 @dataclass(frozen=True)
@@ -198,8 +203,10 @@ def exact_orbit_profile(matrix: MeasuredMatrix,
     if any(v.shape[0] != matrix.n for v in normalized):
         raise ValueError("base vector length must equal the matrix order")
     sigmas = permutations_preserving(matrix.p)
-    measures = MeasureSet.from_arrays(
-        (_law_points(matrix, v[sigmas][:, None]) for v in normalized), matrix.p)
+    step = max(1, _ORBIT_STACK_ROWS // len(sigmas))
+    stacks = (np.array(normalized[s:s + step])[:, sigmas].reshape(-1, 1, matrix.n)
+              for s in range(0, len(normalized), step))
+    measures = MeasureSet.from_arrays((_law_points(matrix, v) for v in stacks), matrix.p)
     return ProfileSample(1, [(v,) for v in normalized], measures, None, "exact_orbit")
 
 

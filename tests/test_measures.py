@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (MASS_SLACK, SET_DEDUP_TOL, SUBSET_KERNEL_MAX_ATOMS, _dedup,
-                                 _lp_breakpoints, _lp_subsets, _point_distances)
+                                 _key_stacks, _lp_breakpoints, _lp_subsets, _point_distances,
+                                 _quantile_sketch)
 from conftest import (dedup_reference, four_vertex_classes, hausdorff_reference, lp_oracle,
                       lp_reference, measure_set_reference, random_measure, random_weights)
 
@@ -488,6 +489,15 @@ def test_hausdorff_dimension_mismatch():
         mm.hausdorff_distance(x, y)
 
 
+def test_hausdorff_dimension_mismatch_names_the_dimensions():
+    # Members with one atom count each side, so they would share a key stack.
+    x = mm.MeasureSet.from_measures([mm.dirac([0.0]), mm.dirac([1.0])])
+    y = mm.MeasureSet.from_measures([mm.dirac([0.0, 0.0])])
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match=r"share a dimension; found \[1, 2\]"):
+            mm.hausdorff_distance(a, b)
+
+
 def pruned_equals_reference(x, y, metric):
     d = mm.hausdorff_distance(x, y, metric)
     assert d == hausdorff_reference(x, y, metric)
@@ -658,8 +668,8 @@ def test_hausdorff_work_on_path4_vs_paw_is_pinned(monkeypatch):
     # they carry.  A change to the search order or batching moves them.
     pair_lp, calls = mm.measures._pair_lp, []
 
-    def counted_pair_lp(members, metric):
-        lp = pair_lp(members, metric)
+    def counted_pair_lp(*args):
+        lp = pair_lp(*args)
 
         def counted(i, j):
             calls.append(np.broadcast(i, j).size)
@@ -672,7 +682,74 @@ def test_hausdorff_work_on_path4_vs_paw_is_pinned(monkeypatch):
     value = mm.one_profile_distance(mm.adjacency(graphs["path4"]),
                                     mm.adjacency(graphs["paw"]), ORBIT)
     assert value > 0.0
-    assert (len(calls), sum(calls)) == (31, 1369)
+    assert (len(calls), sum(calls)) == (34, 595)
+
+
+def shuffled(s: mm.MeasureSet, rng) -> mm.MeasureSet:
+    return mm.MeasureSet.from_measures(s.members[k] for k in rng.permutation(len(s)))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_hausdorff_bits_ignore_member_order_and_argument_order(seed):
+    # The search order changes with the members' order and the direction;
+    # the value must not.  Sampled profiles k = 1..3 (seed odd) and exact
+    # orbits, of graphs or Gaussian matrices of orders 3-5.
+    rng = np.random.default_rng(seed)
+    matrices = [mm.MeasuredMatrix(rng.normal(size=(n, n))) if seed % 4 >= 2
+                else mm.adjacency(graph_without_isolated_vertices(rng, n))
+                for n in rng.integers(3, 6, 2).tolist()]
+    cfg = (mm.SamplingConfig(count=30, seed=seed % 1000, kmax=3) if seed % 2
+           else mm.SamplingConfig(mode="exact_orbit", seed=seed % 1000))
+    metric = mm.measures.METRICS[seed // 4 % 2]
+    sets_a, sets_b = (mm.profile_sets(matrix, cfg) for matrix in matrices)
+    for x, y in zip(sets_a, sets_b, strict=True):
+        value = mm.hausdorff_distance(x, y, metric).hex()
+        x_s, y_s = shuffled(x, rng), shuffled(y, rng)
+        assert mm.hausdorff_distance(x_s, y_s, metric).hex() == value
+        assert mm.hausdorff_distance(y_s, x_s, metric).hex() == value
+        assert mm.hausdorff_distance(y, x, metric).hex() == value
+
+
+def sketch_reference(mu: mm.WeightedPointMeasure) -> np.ndarray:
+    """Per member: at each level q = (l + 1/2)/8 and coordinate, the sorted
+    coordinate at the first position whose cumulative weight reaches q."""
+    rows = []
+    for q in (np.arange(8) + 0.5) / 8:
+        row = []
+        for c in range(mu.dim):
+            mass = np.cumsum(mu.weights[np.argsort(mu.points[:, c], kind="stable")])
+            row.append(np.sort(mu.points[:, c])[np.searchsorted(mass, q)])
+        rows.append(row)
+    return np.array(rows).ravel()
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_quantile_sketch_equals_per_member_reference_in_any_atom_order(grid):
+    # On the grid, coordinates tie and dyadic weights sum exactly, so the
+    # order in which tied atoms are summed cannot move a quantile either.
+    rng = np.random.default_rng(21)
+    members = []
+    for _ in range(80):
+        m, dim = int(rng.integers(1, 9)), 1 + len(members) % 3
+        if grid:
+            # Halve a random weight until there are m: every partial sum is exact.
+            points, weights = rng.integers(-2, 3, (m, dim)) / 2.0, [1.0]
+            while len(weights) < m:
+                k = int(rng.integers(len(weights)))
+                weights[k] /= 2.0
+                weights.insert(k, weights[k])
+        else:
+            points, weights = rng.uniform(-1.0, 1.0, (m, dim)), random_weights(rng, m)
+        members.append(mm.WeightedPointMeasure(points, weights))
+    for dim in (1, 2, 3):
+        group = [mu for mu in members if mu.dim == dim]
+        counts, _, stacks = _key_stacks(group)
+        sketch = _quantile_sketch(counts, stacks)
+        assert np.array_equal(sketch, [sketch_reference(mu) for mu in group])
+        permuted = {m: np.stack([key[rng.permutation(m)] for key in keys])
+                    for m, keys in stacks.items()}
+        assert np.array_equal(_quantile_sketch(counts, permuted), sketch)
 
 
 @pytest.mark.parametrize("metric", mm.measures.METRICS)

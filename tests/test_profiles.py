@@ -296,6 +296,27 @@ def test_exact_orbit_profile_equals_per_orbit_then_across_dedup(n):
         assert [mu.mean.tobytes() for mu in members] == [mu.mean.tobytes() for mu in expected]
 
 
+def test_order6_profile_split_at_the_stack_row_bound_equals_from_measures(monkeypatch):
+    # 8 orbits of 720 rows: the first 7 fill one 5,040-row stack and the
+    # last, a copy of the second orbit 1e-10 off, is dropped across stacks.
+    canonical_keys, rows = mm.measures._canonical_keys, []
+
+    def counted(points, weights):
+        rows.append(len(points))
+        return canonical_keys(points, weights)
+
+    matrix = mm.adjacency(mm.cycle_graph(6))
+    family = mm.orbit_base_family(6, 17)
+    base = family + [family[1] + 1e-10]
+    monkeypatch.setattr(mm.measures, "_canonical_keys", counted)
+    built = mm.exact_orbit_profile(matrix, base).measures
+    monkeypatch.undo()
+    assert rows == [5040, 720]
+    sigmas = mm.matrices.permutations_preserving(matrix.p)
+    _assert_same_members(built, mm.MeasureSet.from_measures(
+        mm.generate_measure(matrix, np.sort(u)[sigma]) for u in base for sigma in sigmas))
+
+
 def _representations(n: int) -> list:
     """Adjacency, Kirchhoff, normalized Laplacian, stationary-weighted
     adjacency and a Gaussian matrix, on a path (even n) or a cycle (odd n)."""

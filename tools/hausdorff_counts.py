@@ -17,17 +17,20 @@ pairs, and each subset-kernel call with its pairs.  A Hausdorff case holds
 Hausdorff value in call order as ``float.hex``; the ``reconstruct`` case
 holds ``lp_calls``, ``pairs``, ``lp_feasible_calls`` and the sha256 of the
 ops' stdout.  The counts depend only on the code, so two checkouts can be
-compared run against run.  The order-6 pairs take several seconds each.
+compared run against run.  C6 vs P6 takes about 3 s, C6 vs a relabeled C6
+a few milliseconds.
 
 The ``build`` case counts the construction of measure sets, in the seed-1
 passes over every op of ``orbit-census``, ``reconstruct`` and ``dist-small``
 and in the seed-17 exact-orbit profiles of the adjacency matrices of C6, P6,
 C7 and P7.  For each it gives the raw rows handed to the set constructors,
-the bitwise-distinct canonical keys among them, the kept members, the
-``WeightedPointMeasure`` objects constructed (counted at ``__new__``), the
-rows whose atoms were merged, and the sha256 of the members' keys and
-means.  ``MeasureSet.from_measures``, and ``MeasureSet.from_arrays`` where
-the checkout has it, are wrapped on their class.  Run it alone with
+the stacks they came in (``from_arrays`` makes one ``_canonical_keys`` and
+one ``_dedup`` call per stack), the bitwise-distinct canonical keys among
+them, the kept members, the ``WeightedPointMeasure`` objects constructed
+(counted at ``__new__``), the rows whose atoms were merged, and the sha256
+of the members' keys and means.  ``MeasureSet.from_measures``, and
+``MeasureSet.from_arrays`` where the checkout has it, are wrapped on their
+class.  Run it alone with
 
     python3 tools/hausdorff_counts.py build
 
@@ -94,8 +97,8 @@ class Counter:
         self.values: list[str] = []
         self.feasible_calls = 0
 
-    def pair_lp(self, members, metric):
-        lp = self._pair_lp(members, metric)
+    def pair_lp(self, *args):
+        lp = self._pair_lp(*args)
 
         def counted(i, j):
             self.counts["lp_calls"] += 1
@@ -136,7 +139,8 @@ def rebind(original, wrapped) -> None:
 class BuildCounter:
     """Counts the rows, keys, members and objects of every measure set built."""
 
-    COUNTS = ("raw_rows", "distinct_rows", "kept_members", "objects", "merged_rows")
+    COUNTS = ("raw_rows", "key_stacks", "distinct_rows", "kept_members", "objects",
+              "merged_rows")
 
     def __init__(self):
         self.reset()
@@ -167,6 +171,7 @@ class BuildCounter:
         if from_arrays is not None:
             def counted_from_arrays(klass, stacks, weights):
                 stacks = [np.asarray(points, dtype=float) for points in stacks]
+                self.counts["key_stacks"] += len(stacks)
                 self.quiet = True
                 keys = [cls(p, weights)._key for points in stacks for p in points]
                 self.quiet = False
