@@ -27,9 +27,13 @@ exact kernels:
   pairwise support distances, which are the breakpoints of the step
   function F, and a binary search over them finds the exact infimum.
 
-The tests cross-check both kernels against a brute-force oracle that
-evaluates the two defining inequalities directly over all unions of support
-atoms, and the pruned Hausdorff search against the full distance table.
+Asked for bounds instead, it gives each pair a nearest-neighbour lower bound
+(``_lp_lower_bound``), with which ``min_pairwise_lp`` and reconstruction's
+isolation check skip the pairs that cannot matter.
+
+The tests cross-check both kernels and the bound against a brute-force
+oracle that evaluates the two defining inequalities directly over all unions
+of support atoms, and the pruned searches against the full distance table.
 
 Semantics note: the enlargement U^eps is taken closed (distance <= eps) and
 the infimum over the finite candidate set is attained, so the returned value
@@ -70,6 +74,18 @@ _SUBSET_TABLE_MAX_CELLS = 1 << 20
 # The traced peak of one exact-orbit dist of 360 x 60 members (house vs
 # K(2,3)) is 0.94 MB with it, and was 1.8 MB with 1 << 15.
 _CHUNK_CELLS = 1 << 13
+# Margin by which a computed lower bound (``_lp_lower_bound``) may exceed the
+# computed LP value of its pair: a pruned search skips a pair only when its
+# bound exceeds the value to beat by more.  Both read one distance table, so
+# only mass terms round, by at most u = 2^-53 per operation on masses of at
+# most 1 + 1e-12.  The kernel's a(S) and C_k are sums of at most 10 and 2^19
+# weights (the table cap), so a(S) - C_k is off by under 6e-11, and the
+# bound's prefix sums W_k over the same supports by as little.  Dinic's flow
+# changes by one rounded update per edge of each augmenting path, which
+# keeps it within 1e-10 on supports of a few dozen atoms; the exhaustion cut
+# ``flows.CAP_EPS`` only stops flow, which raises the value.  1e-9 covers
+# the sum with room to spare.
+_BOUND_SLACK = 1e-9
 
 
 def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> Sequence[np.ndarray]:
@@ -368,6 +384,30 @@ def _lp_subsets(dist: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.minimum(g.max(axis=-1), 1.0)
 
 
+def _lp_lower_bound(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lower bounds on the LP distances of a batch of pairs, from the same
+    ``dist`` (P, m1, m2), ``a`` (P, m1) and ``b`` (P, m2) as ``_lp_subsets``.
+
+    Let r_i be the distance from atom i of mu to the nearest atom of nu, and
+    W_k the mass of the k atoms with the largest r.  If eps is feasible, the
+    set A of atoms with r_i > eps holds no atom of nu in its enlargement
+    A^eps, so the LP inequality mu(A) <= nu(A^eps) + eps reads mu(A) <= eps:
+    with k = |A|, both r_(k+1) <= eps and W_k <= eps.  Hence LP >= tau_mu =
+    min over k = 0..m of max(r_(k+1), W_k), with r_(m+1) = 0, and by symmetry
+    LP >= max(tau_mu, tau_nu).  It costs O(m1 m2) per pair against the
+    kernel's 2^m1 sorted rows.  Only ``_pair_lp`` calls it.
+    """
+    taus = []
+    for r, w in ((dist.min(axis=2), a), (dist.min(axis=1), b)):
+        order = np.argsort(-r, axis=1, kind="stable")
+        r = np.take_along_axis(r, order, axis=1)
+        mass = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
+        # k = 0 gives r_(1), k = m gives W_m, and 0 < k < m gives max(r_(k+1), W_k).
+        taus.append(np.minimum(np.minimum(r[:, 0], mass[:, -1]),
+                               np.maximum(r[:, 1:], mass[:, :-1]).min(axis=1, initial=np.inf)))
+    return np.maximum(*taus)
+
+
 def _lp_breakpoints(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Exact LP distance of one pair by Dinic max flow at the breakpoints.
 
@@ -448,17 +488,20 @@ def _key_stacks(members: Sequence[WeightedPointMeasure]):
 def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
     """The Levy-Prokhorov evaluator: LP distances between pairs of ``members``.
 
-    Returns ``lp(i, j)``: for index arrays ``i``, ``j`` into ``members`` (or
-    one scalar; i != j), those pairs' LP distances.  Pairs with one atom
-    count whose canonical keys lie within ``SET_DEDUP_TOL`` (``measure_equal``)
-    are at distance exactly 0.0, which keeps distances between a matrix and
-    its relabelings identically zero.  Every other pair is oriented by
-    canonical rank (fewer atoms first, then key bytes), so the value is
-    exactly symmetric and the smaller support comes first.  Pairs with the
-    same two atom counts share subset-kernel calls in chunks of about
-    ``_CHUNK_CELLS`` table cells, which reuse one work buffer per call; pairs
-    too big for the kernel go one at a time to the Dinic breakpoint search.
-    ``stacks`` is ``_key_stacks(members)``, when the caller has built it.
+    Returns ``lp(i, j, bound=False)``: for index arrays ``i``, ``j`` into
+    ``members`` (or one scalar; i != j), those pairs' LP distances.  Pairs
+    with one atom count whose canonical keys lie within ``SET_DEDUP_TOL``
+    (``measure_equal``) are at distance exactly 0.0, which keeps distances
+    between a matrix and its relabelings identically zero.  Every other pair
+    is oriented by canonical rank (fewer atoms first, then key bytes), so the
+    value is exactly symmetric and the smaller support comes first.  Pairs
+    with the same two atom counts share subset-kernel calls in chunks of
+    about ``_CHUNK_CELLS`` table cells, which reuse one work buffer per call;
+    pairs too big for the kernel go one at a time to the Dinic breakpoint
+    search.  With ``bound``, ``lp`` returns instead the pairs' lower bounds
+    (``_lp_lower_bound``, 0.0 on equal pairs too), in chunks of at most
+    ``_CHUNK_CELLS`` cells of the pairs' coordinate differences.  ``stacks``
+    is ``_key_stacks(members)``, when the caller has built it.
     """
     # Checked up front: equal pairs are at distance 0 under any metric, so
     # without it a misspelt metric would pass unnoticed on equal inputs.
@@ -468,7 +511,7 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
     rank = np.argsort(sorted(range(len(members)), key=lambda k: (
         members[k].atom_count, members[k]._key.tobytes())))
 
-    def lp(i, j) -> np.ndarray:
+    def lp(i, j, bound: bool = False) -> np.ndarray:
         swap = rank[j] < rank[i]
         first, second = np.where(swap, j, i), np.where(swap, i, j)
         out = np.zeros(len(first))
@@ -476,10 +519,13 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
         groups = []
         for a, b in set(zip(m1.tolist(), m2.tolist())):
             kernel = _uses_subset_kernel(a, b)
-            step = max(1, _CHUNK_CELLS // (b << a)) if kernel else 1
+            # Bound chunks are sized by _point_distances' coordinate differences.
+            cells = a * b * (keys[a].shape[2] - 1) if bound else (b << a) if kernel else 0
+            step = max(1, _CHUNK_CELLS // cells) if cells else 1
             groups.append((a, b, ((m1 == a) & (m2 == b)).nonzero()[0], kernel, step))
-        work = np.empty(max((_subset_cells(min(step, len(pairs)), a, b)
-                             for a, b, pairs, kernel, step in groups if kernel), default=0))
+        work = np.empty(0 if bound else max(
+            (_subset_cells(min(step, len(pairs)), a, b)
+             for a, b, pairs, kernel, step in groups if kernel), default=0))
         for a, b, pairs, kernel, step in groups:
             for start in range(0, len(pairs), step):
                 chunk = pairs[start:start + step]
@@ -490,8 +536,12 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
                     chunk, key1, key2 = chunk[unequal], key1[unequal], key2[unequal]
                 if len(chunk):
                     dist = _point_distances(key1[..., :-1], key2[..., :-1], metric)
-                    out[chunk] = (_lp_subsets(dist, key1[..., -1], key2[..., -1], work) if kernel
-                                  else _lp_breakpoints(dist[0], key1[0, :, -1], key2[0, :, -1]))
+                    if bound:
+                        out[chunk] = _lp_lower_bound(dist, key1[..., -1], key2[..., -1])
+                    elif kernel:
+                        out[chunk] = _lp_subsets(dist, key1[..., -1], key2[..., -1], work)
+                    else:
+                        out[chunk] = _lp_breakpoints(dist[0], key1[0, :, -1], key2[0, :, -1])
         return out
 
     return lp
@@ -499,10 +549,26 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
 
 def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
     """Smallest LP distance between distinct members of a collection: bit for
-    bit the minimum of ``lp_distance`` over all pairs."""
+    bit the minimum of ``lp_distance`` over all pairs.
+
+    Every pair is bounded below (``_lp_lower_bound``) in one batched call.
+    Pairs are then evaluated in ascending bound order, in blocks of 1, 2, 4,
+    ... pairs, one call per block.  A pair whose bound exceeds the best value
+    so far by ``_BOUND_SLACK`` cannot beat it, so such pairs are skipped, and
+    the search stops at the first of them in bound order.
+    """
     members = list(measures)
     rows, cols = np.triu_indices(len(members), 1)
-    return float(_pair_lp(members, metric)(rows, cols).min(initial=np.inf))
+    lp = _pair_lp(members, metric)
+    bounds = lp(rows, cols, bound=True)
+    order = np.argsort(bounds, kind="stable")
+    best, start, size = np.inf, 0, 1
+    while start < len(order) and bounds[order[start]] <= best + _BOUND_SLACK:
+        block = order[start:start + size]
+        block = block[bounds[block] <= best + _BOUND_SLACK]
+        best = min(best, lp(rows[block], cols[block]).min())
+        start, size = start + size, 2 * size
+    return float(best)
 
 
 def _prejoin(table: np.ndarray, x: MeasureSet, y: MeasureSet) -> None:

@@ -32,7 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .matrices import MeasuredMatrix, norm_inf_to_1, orbit_measures, perturb
-from .measures import MASS_SLACK, WeightedPointMeasure, _pair_lp, min_pairwise_lp
+from .measures import (_BOUND_SLACK, MASS_SLACK, WeightedPointMeasure, _pair_lp,
+                       min_pairwise_lp)
 
 KERNEL_RESIDUAL_TOL = 1e-9
 IRREDUCIBLE_LIMIT = 6
@@ -370,6 +371,19 @@ def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
                               "isolation conditions for any sampled test vector")
 
 
+def _near(base: WeightedPointMeasure, members: Sequence[WeightedPointMeasure],
+          eps: float) -> np.ndarray:
+    """Positions of the ``members`` that ``lp_feasible(base, member, eps)``
+    accepts, for the whole orbit in one batch.  A member whose lower bound
+    exceeds eps + MASS_SLACK by ``_BOUND_SLACK`` is not near, and is not
+    evaluated."""
+    lp = _pair_lp([base, *members], "euclidean")
+    threshold = eps + MASS_SLACK
+    others = np.arange(1, len(members) + 1)
+    others = others[lp(0, others, bound=True) <= threshold + _BOUND_SLACK]
+    return others[lp(0, others) <= threshold] - 1
+
+
 def _recover_columns(oracle: MeasureOracle, v: np.ndarray, order: np.ndarray,
                      base: OrderedSupport, eps: float, k_bound: float) -> Optional[np.ndarray]:
     n = len(v)
@@ -382,9 +396,7 @@ def _recover_columns(oracle: MeasureOracle, v: np.ndarray, order: np.ndarray,
             supports = oracle.orbit_supports(probe)
         except DegenerateSupportError:
             return None
-        lp = _pair_lp([base.measure, *(s.measure for s in supports)], "euclidean")
-        # lp_feasible's rule at eps/4, for the whole orbit in one batch.
-        near = np.flatnonzero(lp(0, np.arange(1, len(supports) + 1)) <= eps / 4 + MASS_SLACK)
+        near = _near(base.measure, [s.measure for s in supports], eps / 4)
         if len(near) != 1:
             return None
         partner = supports[near[0]]

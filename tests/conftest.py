@@ -69,6 +69,17 @@ def lp_reference(mu: mm.WeightedPointMeasure, nu: mm.WeightedPointMeasure,
     return _lp_breakpoints(dist, mu.weights, nu.weights)
 
 
+def far_mass_pair():
+    """A planar pair whose distance is its far mass, 0.445, which the kernel
+    sums in atom order and the lower bound in nearest-distance order: the
+    computed bound reads 2 ulps above the computed distance (both metrics)."""
+    far = [0.175, 0.035, 0.025, 0.11, 0.1]
+    mu = mm.WeightedPointMeasure([[0.0, 0.0]] + [[x, 0.0] for x in (4.0, 3.0, 3.5, 4.5, 5.0)],
+                                 [1.0 - sum(far)] + far)
+    nu = mm.WeightedPointMeasure([[0.0, 0.0], [-5.0, 0.0]], [1.0 - sum(far), sum(far)])
+    return mu, nu
+
+
 def hausdorff_reference(x: mm.MeasureSet, y: mm.MeasureSet, metric: str = "euclidean") -> float:
     """Unpruned Hausdorff distance: the full ``lp_reference`` table, then the
     larger of the largest row minimum and the largest column minimum."""

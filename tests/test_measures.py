@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
-from matmeasure.measures import (MASS_SLACK, SET_DEDUP_TOL, SUBSET_KERNEL_MAX_ATOMS, _dedup,
-                                 _key_stacks, _lp_breakpoints, _lp_subsets, _point_distances,
-                                 _quantile_sketch)
-from conftest import (dedup_reference, four_vertex_classes, hausdorff_reference, lp_oracle,
-                      lp_reference, measure_set_reference, random_measure, random_weights)
+from matmeasure.measures import (_BOUND_SLACK, MASS_SLACK, METRICS, SET_DEDUP_TOL,
+                                 SUBSET_KERNEL_MAX_ATOMS, _dedup, _key_stacks, _lp_breakpoints,
+                                 _lp_subsets, _pair_lp, _point_distances, _quantile_sketch)
+from conftest import (dedup_reference, far_mass_pair, four_vertex_classes, hausdorff_reference,
+                      lp_oracle, lp_reference, measure_set_reference, random_measure,
+                      random_weights)
 
 HALF = 0.5
 
@@ -763,6 +764,118 @@ def test_batched_pairs_equal_single_pairs_across_chunks(metric):
     batched = mm.measures._pair_lp(members, metric)(rows, cols)
     single = [lp_reference(members[i], members[j], metric) for i, j in zip(rows, cols)]
     assert np.array_equal(batched, single)
+
+
+def bound_corpus(rng: np.random.Generator, kind: int, dim: int) -> list:
+    """Members for the lower-bound tests: kernel-sized (1-8 atoms), Dinic-sized
+    (11-13 atoms) or mixed counts, with uniform, random or merged weights and
+    some one-atom members, on a random or a tied grid."""
+    sizes = {0: (1, 9), 1: (SUBSET_KERNEL_MAX_ATOMS + 1, 14), 2: (1, 14)}[kind]
+    members = []
+    for _ in range(5 if kind == 1 else 8):
+        m = 1 if rng.random() < 0.15 else int(rng.integers(*sizes))
+        points = (rng.integers(-3, 4, (m, dim)) / 4.0 if rng.random() < 0.3
+                  else rng.uniform(-1.0, 1.0, (m, dim)) * float(rng.choice([0.2, 1.0, 3.0])))
+        if m > 1 and rng.random() < 0.3:
+            points[-1] = points[0]  # merged atoms
+        weights = np.full(m, 1.0 / m) if rng.random() < 0.5 else random_weights(rng, m)
+        members.append(mm.WeightedPointMeasure(points, weights))
+    return members
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_lp_lower_bound_is_at_most_the_distance(seed):
+    rng = np.random.default_rng(seed)
+    metric, kind, dim = METRICS[seed % 2], seed // 2 % 3, 1 + seed // 6 % 3
+    members = bound_corpus(rng, kind, dim)
+    rows, cols = np.triu_indices(len(members), 1)
+    bounds = _pair_lp(members, metric)(rows, cols, bound=True)
+    assert (bounds >= 0.0).all()
+    for i, j, bound in zip(rows, cols, bounds):
+        mu, nu = members[i], members[j]
+        assert bound <= lp_reference(mu, nu, metric) + _BOUND_SLACK
+        if mu.atom_count + nu.atom_count <= 12:
+            assert bound <= lp_oracle(mu, nu, metric) + _BOUND_SLACK
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_lp_lower_bound_is_attained(metric):
+    # Two points at distance t, and disjoint supports farther apart than 1
+    # (the distance is capped at 1, the bound is the whole mass).
+    t = 0.375
+    far = mm.WeightedPointMeasure([[5.0, 0.0], [6.0, 1.0]], [0.25, 0.75])
+    members = [mm.dirac([0.0, 0.0]), mm.dirac([t, 0.0]), far]
+    bounds = _pair_lp(members, metric)([0, 0, 1], [1, 2, 2], bound=True)
+    assert bounds.tolist() == [t, 1.0, 1.0]
+    assert [lp_reference(members[i], members[j], metric)
+            for i, j in ((0, 1), (0, 2), (1, 2))] == bounds.tolist()
+
+
+def test_lp_lower_bound_of_pairs_within_the_dedup_tolerance_is_zero():
+    # Their nearest-atom distances are about 1e-11, yet the evaluator answers
+    # them with 0.0, so the bound must not exceed that.
+    rng = np.random.default_rng(23)
+    for m in (1, 4, 12):
+        mu = mm.WeightedPointMeasure(rng.uniform(-1.0, 1.0, (m, 2)), random_weights(rng, m))
+        nudged = mm.WeightedPointMeasure(mu.points + 1e-11, mu.weights)
+        for metric in METRICS:
+            lp = _pair_lp([mu, nudged], metric)
+            assert lp(0, [1], bound=True).tolist() == [0.0] == lp(0, [1]).tolist()
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_bound_slack_covers_the_rounding_of_mass_terms(metric):
+    mu, nu = far_mass_pair()
+    lp = _pair_lp([mu, nu], metric)
+    value, bound = lp(0, [1])[0], lp(0, [1], bound=True)[0]
+    assert value == lp_reference(mu, nu, metric)
+    assert value < bound <= value + _BOUND_SLACK
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_min_pairwise_lp_does_not_skip_a_pair_whose_bound_rounds_above_the_best(metric):
+    # The pair (c, d) sits 1 ulp above the far-mass pair's distance and 1 ulp
+    # below its bound, so it is evaluated first; the far-mass pair must still
+    # be evaluated, as its bound exceeds the best by less than the slack.
+    mu, nu = far_mass_pair()
+    value = lp_reference(mu, nu, metric)
+    t = float(np.nextafter(value, 1.0))
+    members = [mu, nu, mm.dirac([0.0, 50.0]), mm.dirac([t, 50.0])]
+    assert lp_reference(members[2], members[3], metric) == t
+    assert mm.min_pairwise_lp(members, metric) == value
+
+
+def lp_subsets_stable_reference(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """``_lp_subsets``' closed form for one pair, subset by subset, with the
+    distances from each subset sorted in a stable order."""
+    best = 0.0
+    for s in range(1, 1 << len(a)):
+        members = [i for i in range(len(a)) if s >> i & 1]
+        near = dist[members].min(axis=0)
+        order = np.argsort(near, kind="stable")
+        mass = sum(a[members])
+        covered = np.cumsum(b[order])
+        best = max(best, min(mass, np.maximum(near[order], mass - covered).min()))
+    return min(best, 1.0)
+
+
+@pytest.mark.parametrize("m1, m2, seed", [(5, 8, 33), (8, 8, 38), (10, 10, 7), (3, 40, 0)])
+def test_subset_kernel_on_tied_grid_distances_matches_a_stable_order_reference(m1, m2, seed):
+    # The kernel's argsort is not stable, so on tied distances it may sum the
+    # second-side weights in another order than this reference: the values
+    # may differ by ulps, never by more than 1e-12.  With numpy 2.4.6 on an
+    # AVX-512 x86 host, the first three draws each hold a pair that differs.
+    rng = np.random.default_rng(seed)
+    dist, a, b = [], [], []
+    for _ in range(4):
+        x, y = rng.integers(0, 3, (m1, 2)) / 2.0, rng.integers(0, 3, (m2, 2)) / 2.0
+        dist.append(_point_distances(x, y, "chebyshev"))
+        a.append(random_weights(rng, m1))
+        b.append(random_weights(rng, m2))
+    values = _lp_subsets(np.array(dist), np.array(a), np.array(b))
+    for value, d, wa, wb in zip(values, dist, a, b):
+        assert abs(value - lp_subsets_stable_reference(d, wa, wb)) <= 1e-12
 
 
 @pytest.mark.parametrize("call", [

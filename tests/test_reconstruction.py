@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import matmeasure as mm
-from matmeasure.reconstruction import DegenerateSupportError
-from conftest import (EXAMPLE_A, EXAMPLE_B, four_vertex_classes, lp_reference, random_measure,
-                      random_weights)
+from matmeasure.measures import MASS_SLACK, METRICS, _pair_lp
+from matmeasure.reconstruction import DegenerateSupportError, _near
+from conftest import (EXAMPLE_A, EXAMPLE_B, far_mass_pair, four_vertex_classes, lp_reference,
+                      random_measure, random_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,62 @@ def test_min_pairwise_lp_duplicated_member_is_zero():
                                                 members[5].weights)]
     for collection in (exact, nudged):
         assert mm.min_pairwise_lp(collection) == 0.0 == all_pairs_minimum(collection)
+
+
+def seeded_orbit(n, entries, seed):
+    """The orbit of a seeded vector under a seeded 0/1, Gaussian or Gaussian
+    circulant matrix (whose cyclic symmetry shrinks an order-6 orbit to 120)."""
+    rng = np.random.default_rng(seed)
+    if entries == "binary":
+        a = rng.integers(0, 2, (n, n)).astype(float)
+    elif entries == "gaussian":
+        a = rng.standard_normal((n, n))
+    else:
+        row = rng.standard_normal(n)
+        a = np.array([np.roll(row, i) for i in range(n)])
+    return list(mm.orbit_measures(mm.MeasuredMatrix(a), rng.uniform(-1.0, 1.0, n)))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("n, entries, seed, size", [
+    (3, "binary", 1, 6), (3, "gaussian", 2, 6), (4, "binary", 3, 24), (4, "gaussian", 4, 24),
+    (5, "binary", 5, 120), (5, "gaussian", 6, 120), (6, "binary", 7, 360),
+    (6, "circulant", 8, 120)])
+def test_pruned_min_pairwise_lp_equals_the_all_pairs_minimum(metric, n, entries, seed, size):
+    orbit = seeded_orbit(n, entries, seed)
+    assert len(orbit) == size
+    rows, cols = np.triu_indices(len(orbit), 1)
+    assert mm.min_pairwise_lp(orbit, metric) == _pair_lp(orbit, metric)(rows, cols).min()
+
+
+@pytest.mark.parametrize("n, entries, seed", [(4, "gaussian", 11), (5, "binary", 12),
+                                              (5, "gaussian", 13)])
+def test_pruned_near_sets_equal_the_unpruned_ones(n, entries, seed):
+    # Probes as reconstruct makes them, at its epsilon and at larger ones
+    # whose threshold eps/4 is exactly some member's distance to the base.
+    matrix = mm.MeasuredMatrix(pinned_hidden_matrix(n, entries, seed))
+    v = mm.max_orbit_vector(matrix, trials=4, rng_seed=seed)
+    k = max(1.0, mm.norm_inf_to_1(matrix).value)
+    base = mm.orbit_measures(matrix, v).members[0]
+    eps0 = mm.choose_epsilon(matrix, v)
+    for j in range(n):
+        probe = list(mm.orbit_measures(matrix, mm.perturb(v, j, eps0, k)))
+        values = sorted(lp_reference(base, mu) for mu in probe)
+        for eps in (eps0, 4.0 * values[1], 4.0 * values[len(values) // 2], 4.0 * values[-1]):
+            near = [i for i, mu in enumerate(probe)
+                    if lp_reference(base, mu) <= eps / 4 + MASS_SLACK]
+            assert _near(base, probe, eps / 4).tolist() == near
+
+
+def test_near_keeps_a_member_whose_bound_rounds_above_the_threshold():
+    # eps + MASS_SLACK lands on the member's distance, and its bound 2 ulps above.
+    mu, nu = far_mass_pair()
+    value = lp_reference(mu, nu)
+    eps = value - MASS_SLACK
+    while eps + MASS_SLACK != value:
+        eps = float(np.nextafter(eps, 1.0 if eps + MASS_SLACK < value else 0.0))
+    assert _pair_lp([mu, nu], "euclidean")(0, [1], bound=True)[0] > eps + MASS_SLACK
+    assert _near(mu, [nu, mm.dirac([9.0, 9.0])], eps).tolist() == [0]
 
 
 def test_min_pairwise_lp_small_collections():

@@ -9,16 +9,21 @@ benchmark workloads (``bench/workloads.py``), two exact-orbit order-6 pairs
 with the seed-17 base family (C6 vs P6 and C6 vs a relabeled C6), and the
 seed-1 ``reconstruct`` ops.  The checkout's ``src/`` is imported, and the
 work is observed from outside it: ``_pair_lp``, ``_lp_subsets``,
-``lp_feasible`` and ``hausdorff_distance`` are wrapped and rebound in every
-``matmeasure`` module that holds them, as ``bench/tracer.py`` does.  Each
-call of the ``lp`` evaluator that ``_pair_lp`` returns is counted with its
-pairs, and each subset-kernel call with its pairs.  A Hausdorff case holds
-``lp_calls``, ``pairs``, ``kernel_calls``, ``kernel_pairs`` and every
-Hausdorff value in call order as ``float.hex``; the ``reconstruct`` case
-holds ``lp_calls``, ``pairs``, ``lp_feasible_calls`` and the sha256 of the
-ops' stdout.  The counts depend only on the code, so two checkouts can be
-compared run against run.  C6 vs P6 takes about 3 s, C6 vs a relabeled C6
-a few milliseconds.
+``lp_feasible``, ``min_pairwise_lp`` and ``hausdorff_distance`` are wrapped
+and rebound in every ``matmeasure`` module that holds them, as
+``bench/tracer.py`` does.  Each call of the ``lp`` evaluator that
+``_pair_lp`` returns is counted with its pairs: an exact call in
+``lp_calls`` and ``pairs``, a lower-bound call (``bound=True``) in
+``bound_calls`` and ``bounded_pairs``.  ``skipped_pairs`` counts the
+distinct pairs an evaluator bounded but never evaluated, and each
+subset-kernel call is counted with its pairs.  A Hausdorff case holds these
+counts and every Hausdorff value in call order as ``float.hex``; the
+``reconstruct`` case holds the evaluator counts twice, for the minimum
+searches (``min_search``, inside ``min_pairwise_lp``) and for the isolation
+checks (``isolation``, every other call), then ``lp_feasible_calls`` and
+the sha256 of the ops' stdout.  The counts depend only on the code, so two
+checkouts can be compared run against run.  C6 vs P6 takes about 3 s, C6 vs
+a relabeled C6 a few milliseconds.
 
 The ``build`` case counts the construction of measure sets, in the seed-1
 passes over every op of ``orbit-census``, ``reconstruct`` and ``dist-small``
@@ -77,52 +82,82 @@ RELABEL = (0, 2, 4, 1, 3, 5)
 
 
 class Counter:
-    """Wraps the pair evaluator, the subset kernel, the feasibility decision
-    and the Hausdorff entry."""
+    """Wraps the pair evaluator, the subset kernel, the feasibility decision,
+    the minimum search and the Hausdorff entry."""
+
+    COUNTS = ("lp_calls", "pairs", "bound_calls", "bounded_pairs", "kernel_calls",
+              "kernel_pairs")
 
     def __init__(self):
+        self.scope = "other"
         self.reset()
         self._pair_lp = measures._pair_lp
         self._lp_subsets = measures._lp_subsets
         self._lp_feasible = measures.lp_feasible
+        self._min_pairwise_lp = measures.min_pairwise_lp
         self._hausdorff = measures.hausdorff_distance
         for original, wrapped in ((self._pair_lp, self.pair_lp),
                                   (self._lp_subsets, self.lp_subsets),
                                   (self._lp_feasible, self.lp_feasible),
+                                  (self._min_pairwise_lp, self.min_pairwise_lp),
                                   (self._hausdorff, self.hausdorff)):
             rebind(original, wrapped)
 
     def reset(self) -> None:
-        self.counts = {"lp_calls": 0, "pairs": 0, "kernel_calls": 0, "kernel_pairs": 0}
+        self.counts = {scope: dict.fromkeys(self.COUNTS, 0)
+                       for scope in ("min_search", "other")}
+        # Per evaluator that bounded pairs: (scope, bounded pairs, evaluated pairs).
+        self.evaluators: list[tuple[str, set, set]] = []
         self.values: list[str] = []
         self.feasible_calls = 0
 
     def pair_lp(self, *args):
         lp = self._pair_lp(*args)
+        seen = None
 
-        def counted(i, j):
-            self.counts["lp_calls"] += 1
-            self.counts["pairs"] += np.broadcast(i, j).size
-            return lp(i, j)
+        def counted(i, j, bound=False):
+            nonlocal seen
+            counts = self.counts[self.scope]
+            counts["bound_calls" if bound else "lp_calls"] += 1
+            counts["bounded_pairs" if bound else "pairs"] += np.broadcast(i, j).size
+            if bound and seen is None:
+                seen = (self.scope, set(), set())
+                self.evaluators.append(seen)
+            if seen is not None:
+                rows, cols = np.broadcast_arrays(i, j)
+                seen[1 if bound else 2].update(zip(rows.tolist(), cols.tolist()))
+            return lp(i, j, bound=True) if bound else lp(i, j)
 
         return counted
 
     def lp_subsets(self, dist, *args, **kwargs):
-        self.counts["kernel_calls"] += 1
-        self.counts["kernel_pairs"] += len(dist)
+        self.counts[self.scope]["kernel_calls"] += 1
+        self.counts[self.scope]["kernel_pairs"] += len(dist)
         return self._lp_subsets(dist, *args, **kwargs)
 
     def lp_feasible(self, *args, **kwargs):
         self.feasible_calls += 1
         return self._lp_feasible(*args, **kwargs)
 
+    def min_pairwise_lp(self, *args, **kwargs):
+        self.scope = "min_search"
+        try:
+            return self._min_pairwise_lp(*args, **kwargs)
+        finally:
+            self.scope = "other"
+
     def hausdorff(self, x, y, metric="euclidean"):
         value = self._hausdorff(x, y, metric)
         self.values.append(float(value).hex())
         return value
 
+    def scope_counts(self, scope: str) -> dict:
+        skipped = sum(len(bounded - evaluated)
+                      for s, bounded, evaluated in self.evaluators if s == scope)
+        return dict(self.counts[scope], skipped_pairs=skipped)
+
     def result(self) -> dict:
-        out = dict(self.counts, values=self.values)
+        out = dict(self.scope_counts("other"), values=self.values)
         self.reset()
         return out
 
@@ -260,9 +295,11 @@ def workload_case(counter: Counter, name: str) -> dict:
 
 def reconstruct_case(counter: Counter) -> dict:
     stdout = run_ops("reconstruct", "reconstruct")
-    out = {"lp_calls": counter.counts["lp_calls"], "pairs": counter.counts["pairs"],
-           "lp_feasible_calls": counter.feasible_calls,
-           "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
+    out = {name: {key: value for key, value in counter.scope_counts(scope).items()
+                  if not key.startswith("kernel")}
+           for name, scope in (("min_search", "min_search"), ("isolation", "other"))}
+    out.update(lp_feasible_calls=counter.feasible_calls,
+               stdout_sha256=hashlib.sha256(stdout.encode()).hexdigest())
     counter.reset()
     return out
 
