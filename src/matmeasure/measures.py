@@ -28,8 +28,12 @@ exact kernels:
   function F, and a binary search over them finds the exact infimum.
 
 Asked for bounds instead, it gives each pair a nearest-neighbour lower bound
-(``_lp_lower_bound``), with which ``min_pairwise_lp`` and reconstruction's
-isolation check skip the pairs that cannot matter.
+(``_lp_lower_bound``), by which ``min_pairwise_lp`` orders and prunes its
+search.  Given a cap per pair, it evaluates only the pairs whose bound is
+within the cap (``_far_pairs`` tests this without the bound's sort) and
+leaves NaN for the others, whose distance exceeds the cap: the Hausdorff
+search caps each candidate at its row's running minimum, and
+reconstruction's isolation check at its threshold.
 
 The tests cross-check both kernels and the bound against a brute-force
 oracle that evaluates the two defining inequalities directly over all unions
@@ -408,6 +412,22 @@ def _lp_lower_bound(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return np.maximum(*taus)
 
 
+def _far_pairs(dist: np.ndarray, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Which pairs of a batch (``_lp_subsets``' arguments) have
+    ``_lp_lower_bound`` above ``t`` (P,), without its sort.
+
+    With r as there and A_t = {i : r_i > t}, a side's tau exceeds t iff
+    mu(A_t) > t.  For k < |A_t| the k + 1 atoms of largest r all lie in A_t,
+    so r_(k+1) > t.  For k >= |A_t| the k atoms of largest r contain A_t, so
+    W_k >= mu(A_t).  At k = |A_t| we have r_(k+1) <= t and W_k = mu(A_t), so
+    both terms are at most t unless mu(A_t) > t; and if mu(A_t) > t, every
+    k has a term above t.  The masses are summed here in atom order rather
+    than in r order, a rounding difference far inside ``_BOUND_SLACK``."""
+    col = t[:, None]
+    return ((np.where(dist.min(axis=2) > col, a, 0.0).sum(axis=1) > t)
+            | (np.where(dist.min(axis=1) > col, b, 0.0).sum(axis=1) > t))
+
+
 def _lp_breakpoints(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Exact LP distance of one pair by Dinic max flow at the breakpoints.
 
@@ -488,20 +508,27 @@ def _key_stacks(members: Sequence[WeightedPointMeasure]):
 def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
     """The Levy-Prokhorov evaluator: LP distances between pairs of ``members``.
 
-    Returns ``lp(i, j, bound=False)``: for index arrays ``i``, ``j`` into
-    ``members`` (or one scalar; i != j), those pairs' LP distances.  Pairs
-    with one atom count whose canonical keys lie within ``SET_DEDUP_TOL``
-    (``measure_equal``) are at distance exactly 0.0, which keeps distances
-    between a matrix and its relabelings identically zero.  Every other pair
-    is oriented by canonical rank (fewer atoms first, then key bytes), so the
-    value is exactly symmetric and the smaller support comes first.  Pairs
-    with the same two atom counts share subset-kernel calls in chunks of
-    about ``_CHUNK_CELLS`` table cells, which reuse one work buffer per call;
-    pairs too big for the kernel go one at a time to the Dinic breakpoint
-    search.  With ``bound``, ``lp`` returns instead the pairs' lower bounds
-    (``_lp_lower_bound``, 0.0 on equal pairs too), in chunks of at most
-    ``_CHUNK_CELLS`` cells of the pairs' coordinate differences.  ``stacks``
-    is ``_key_stacks(members)``, when the caller has built it.
+    Returns ``lp(i, j, bound=False, cap=None)``: for index arrays ``i``,
+    ``j`` into ``members`` (or one scalar; i != j), those pairs' LP
+    distances.  Pairs with one atom count whose canonical keys lie within
+    ``SET_DEDUP_TOL`` (``measure_equal``) are at distance exactly 0.0, which
+    keeps distances between a matrix and its relabelings identically zero.
+    Every other pair is oriented by canonical rank (fewer atoms first, then
+    key bytes), so the value is exactly symmetric and the smaller support
+    comes first.  Pairs with the same two atom counts share subset-kernel
+    calls in chunks of about ``_CHUNK_CELLS`` table cells, which reuse one
+    work buffer per call; pairs too big for the kernel go one at a time to
+    the Dinic breakpoint search.
+
+    With ``bound``, ``lp`` returns instead the pairs' lower bounds
+    (``_lp_lower_bound``, 0.0 on equal pairs too).  With ``cap`` (a scalar,
+    or one value per pair), a pair whose lower bound exceeds its cap plus
+    ``_BOUND_SLACK`` (``_far_pairs``, after the equality rule) is not
+    evaluated and reads NaN: its computed distance would exceed the cap.
+    Both read the atom distances in chunks of at most ``_CHUNK_CELLS`` cells
+    of the pairs' coordinate differences, and a capped chunk hands its
+    surviving pairs, with their distances, to the kernels.  ``stacks`` is
+    ``_key_stacks(members)``, when the caller has built it.
     """
     # Checked up front: equal pairs are at distance 0 under any metric, so
     # without it a misspelt metric would pass unnoticed on equal inputs.
@@ -511,37 +538,50 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
     rank = np.argsort(sorted(range(len(members)), key=lambda k: (
         members[k].atom_count, members[k]._key.tobytes())))
 
-    def lp(i, j, bound: bool = False) -> np.ndarray:
+    def lp(i, j, bound: bool = False, cap=None) -> np.ndarray:
         swap = rank[j] < rank[i]
         first, second = np.where(swap, j, i), np.where(swap, i, j)
         out = np.zeros(len(first))
+        if cap is not None:
+            cap = np.add(cap, _BOUND_SLACK, out=np.empty(len(first)))
         m1, m2 = counts[first], counts[second]
         groups = []
         for a, b in set(zip(m1.tolist(), m2.tolist())):
             kernel = _uses_subset_kernel(a, b)
-            # Bound chunks are sized by _point_distances' coordinate differences.
-            cells = a * b * (keys[a].shape[2] - 1) if bound else (b << a) if kernel else 0
-            step = max(1, _CHUNK_CELLS // cells) if cells else 1
-            groups.append((a, b, ((m1 == a) & (m2 == b)).nonzero()[0], kernel, step))
+            step = max(1, _CHUNK_CELLS // (b << a)) if kernel else 1
+            # Bound and cap chunks are sized by _point_distances' coordinate differences.
+            cells = a * b * (keys[a].shape[2] - 1)
+            size = max(1, _CHUNK_CELLS // cells) if bound or cap is not None else step
+            groups.append((a, b, ((m1 == a) & (m2 == b)).nonzero()[0], kernel, step, size))
         work = np.empty(0 if bound else max(
             (_subset_cells(min(step, len(pairs)), a, b)
-             for a, b, pairs, kernel, step in groups if kernel), default=0))
-        for a, b, pairs, kernel, step in groups:
-            for start in range(0, len(pairs), step):
-                chunk = pairs[start:start + step]
+             for a, b, pairs, kernel, step, _ in groups if kernel), default=0))
+        for a, b, pairs, kernel, step, size in groups:
+            for start in range(0, len(pairs), size):
+                chunk = pairs[start:start + size]
                 key1, key2 = keys[a][slot[first[chunk]]], keys[b][slot[second[chunk]]]
                 if a == b:
-                    # Equal pairs keep their 0.0.
+                    # Equal pairs keep their 0.0, before any cap is tested.
                     unequal = ~(np.abs(key1 - key2) <= SET_DEDUP_TOL).all(axis=(1, 2))
                     chunk, key1, key2 = chunk[unequal], key1[unequal], key2[unequal]
-                if len(chunk):
-                    dist = _point_distances(key1[..., :-1], key2[..., :-1], metric)
-                    if bound:
-                        out[chunk] = _lp_lower_bound(dist, key1[..., -1], key2[..., -1])
-                    elif kernel:
-                        out[chunk] = _lp_subsets(dist, key1[..., -1], key2[..., -1], work)
+                if not len(chunk):
+                    continue
+                dist = _point_distances(key1[..., :-1], key2[..., :-1], metric)
+                w1, w2 = key1[..., -1], key2[..., -1]
+                if bound:
+                    out[chunk] = _lp_lower_bound(dist, w1, w2)
+                    continue
+                if cap is not None:
+                    near = np.flatnonzero(~_far_pairs(dist, w1, w2, cap[chunk]))
+                    if len(near) < len(chunk):
+                        out[chunk] = np.nan
+                        chunk, dist, w1, w2 = chunk[near], dist[near], w1[near], w2[near]
+                for s in range(0, len(chunk), step):
+                    if kernel:
+                        out[chunk[s:s + step]] = _lp_subsets(
+                            dist[s:s + step], w1[s:s + step], w2[s:s + step], work)
                     else:
-                        out[chunk] = _lp_breakpoints(dist[0], key1[0, :, -1], key2[0, :, -1])
+                        out[chunk[s]] = _lp_breakpoints(dist[s], w1[s], w2[s])
         return out
 
     return lp
@@ -629,9 +669,12 @@ def _directed(lp, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     4, ... rows, capped so that a wave's orders fill at most ``_CHUNK_CELLS``
     cells; the live rows of a wave walk their sketch-proximity orders
     together, in blocks of 2, 4, 8, ... candidates (the first candidate is
-    already in the table), with one ``lp`` call per round.  A row dies once
-    its minimum is at most ``cmax``, and only a row that has seen every
-    candidate raises ``cmax``, so the result is exact.
+    already in the table), with one ``lp`` call per round.  Each pair is
+    capped by its row's minimum before the round, so a pair that cannot
+    lower it is left NaN, unevaluated.  A row dies once its minimum is at
+    most ``cmax``, and only a row that has seen every candidate raises
+    ``cmax``, so the result is exact.  NaN cells are evaluated again when
+    the other direction reaches them, under that direction's caps.
     """
     best = np.nanmin(table, axis=1)
     queue = np.argsort(-best, kind="stable")
@@ -650,9 +693,9 @@ def _directed(lp, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             i = np.concatenate([np.full(len(j), r) for r, j in todo])
             j = np.concatenate([j for _, j in todo])
             if len(i):
-                table[i, j] = lp(rows[i], cols[j])
+                table[i, j] = lp(rows[i], cols[j], cap=best[i])
             for r, block in zip(live, blocks):
-                best[r] = min(best[r], table[r, block].min())
+                best[r] = np.fmin.reduce(table[r, block], initial=best[r])
             if hi >= len(cols):
                 cmax = max(cmax, max(best[r] for r in live))
                 break
@@ -676,8 +719,10 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
     * each direction then visits its rows in descending order of their
       running minimum, in waves of 1, 2, 4, ... rows that walk their
       sketch-proximity orders together in blocks of 2, 4, 8, ... candidates,
-      one evaluation call per block.  A row stops once its minimum cannot
-      raise the largest minimum found so far, in either direction.
+      one evaluation call per block, which skips the candidates whose lower
+      bound shows they cannot lower their row's running minimum.  A row
+      stops once its minimum cannot raise the largest minimum found so far,
+      in either direction.
 
     The visiting order changes only the work: the result is the largest row
     or column minimum of the full table, bit for bit.
@@ -700,7 +745,8 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
     i, j = np.divmod(first[np.isnan(table.ravel()[first])], len(y))
     if len(i):
         table[i, j] = lp(in_x[i], in_y[j])
-    # The backward pass reads the transpose, so each pair is evaluated once.
+    # The backward pass reads the transpose: it evaluates no pair again, but
+    # tests the pairs the forward caps skipped (NaN) against its own caps.
     cmax = _directed(lp, table, in_x, in_y, sketch, 0.0)
     return _directed(lp, table.T, in_y, in_x, sketch, cmax)
 

@@ -32,8 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .matrices import MeasuredMatrix, norm_inf_to_1, orbit_measures, perturb
-from .measures import (_BOUND_SLACK, MASS_SLACK, WeightedPointMeasure, _pair_lp,
-                       min_pairwise_lp)
+from .measures import MASS_SLACK, WeightedPointMeasure, _pair_lp, min_pairwise_lp
 
 KERNEL_RESIDUAL_TOL = 1e-9
 IRREDUCIBLE_LIMIT = 6
@@ -374,14 +373,13 @@ def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
 def _near(base: WeightedPointMeasure, members: Sequence[WeightedPointMeasure],
           eps: float) -> np.ndarray:
     """Positions of the ``members`` that ``lp_feasible(base, member, eps)``
-    accepts, for the whole orbit in one batch.  A member whose lower bound
-    exceeds eps + MASS_SLACK by ``_BOUND_SLACK`` is not near, and is not
-    evaluated."""
+    accepts, for the whole orbit in one batch.  Members are capped at the
+    threshold eps + MASS_SLACK: one whose lower bound exceeds it by
+    ``_BOUND_SLACK`` is not evaluated, and its NaN compares false."""
     lp = _pair_lp([base, *members], "euclidean")
     threshold = eps + MASS_SLACK
     others = np.arange(1, len(members) + 1)
-    others = others[lp(0, others, bound=True) <= threshold + _BOUND_SLACK]
-    return others[lp(0, others) <= threshold] - 1
+    return others[lp(0, others, cap=threshold) <= threshold] - 1
 
 
 def _recover_columns(oracle: MeasureOracle, v: np.ndarray, order: np.ndarray,

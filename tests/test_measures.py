@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (_BOUND_SLACK, MASS_SLACK, METRICS, SET_DEDUP_TOL,
-                                 SUBSET_KERNEL_MAX_ATOMS, _dedup, _key_stacks, _lp_breakpoints,
-                                 _lp_subsets, _pair_lp, _point_distances, _quantile_sketch)
+                                 SUBSET_KERNEL_MAX_ATOMS, _dedup, _far_pairs, _key_stacks,
+                                 _lp_breakpoints, _lp_lower_bound, _lp_subsets, _pair_lp,
+                                 _point_distances, _quantile_sketch)
 from conftest import (dedup_reference, far_mass_pair, four_vertex_classes, hausdorff_reference,
                       lp_oracle, lp_reference, measure_set_reference, random_measure,
                       random_weights)
@@ -325,34 +326,49 @@ def test_feasibility_decision_matches_dinic():
 # metric axioms
 # ---------------------------------------------------------------------------
 
-def test_symmetry_is_exact():
-    rng = np.random.default_rng(5)
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+@given(SEEDS)
+@example(5)
+@settings(max_examples=15, deadline=None)
+def test_symmetry_is_exact(seed):
+    rng = np.random.default_rng(seed)
     for _ in range(60):
         mu = random_measure(rng, max_atoms=6)
         nu = random_measure(rng, max_atoms=6)
         assert mm.lp_distance(mu, nu) == mm.lp_distance(nu, mu)
 
 
-def test_triangle_inequality():
-    rng = np.random.default_rng(6)
+@given(SEEDS)
+@example(6)
+@settings(max_examples=15, deadline=None)
+def test_triangle_inequality(seed):
+    rng = np.random.default_rng(seed)
     for _ in range(120):
         a = random_measure(rng, max_atoms=6)
         b = random_measure(rng, max_atoms=6)
         c = random_measure(rng, max_atoms=6)
         assert (mm.lp_distance(a, c)
-                <= mm.lp_distance(a, b) + mm.lp_distance(b, c) + 1e-9)
+                <= mm.lp_distance(a, b) + mm.lp_distance(b, c) + 1e-12)
 
 
-def test_identity_of_indiscernibles_matches_measure_equal():
-    rng = np.random.default_rng(7)
+@given(SEEDS)
+@example(7)
+@settings(max_examples=15, deadline=None)
+def test_identity_of_indiscernibles_matches_measure_equal(seed):
+    rng = np.random.default_rng(seed)
     for _ in range(80):
         mu = random_measure(rng, max_atoms=4)
         nu = mu if rng.random() < 0.3 else random_measure(rng, max_atoms=4)
         assert (mm.lp_distance(mu, nu) == 0.0) == mm.measure_equal(mu, nu)
 
 
-def test_distance_bounded_by_one():
-    rng = np.random.default_rng(8)
+@given(SEEDS)
+@example(8)
+@settings(max_examples=15, deadline=None)
+def test_distance_bounded_by_one(seed):
+    rng = np.random.default_rng(seed)
     for _ in range(60):
         mu = random_measure(rng, scale=float(rng.choice([1.0, 10.0])))
         nu = random_measure(rng, scale=float(rng.choice([1.0, 10.0])))
@@ -472,15 +488,19 @@ def test_hausdorff_directed_sup_inf_by_hand():
     assert mm.hausdorff_distance(x, y) == 1.0
 
 
-def test_hausdorff_bounded_by_one_and_symmetric():
-    rng = np.random.default_rng(10)
+@given(SEEDS)
+@example(10)
+@settings(max_examples=15, deadline=None)
+def test_hausdorff_bounded_by_one_and_symmetric(seed):
+    # Sets of 10-40 members, so that capped evaluations skip pairs.
+    rng = np.random.default_rng(seed)
     x = mm.MeasureSet.from_measures(
-        random_measure(rng, scale=5.0) for _ in range(4))
+        random_measure(rng, scale=5.0) for _ in range(int(rng.integers(10, 41))))
     y = mm.MeasureSet.from_measures(
-        random_measure(rng, scale=5.0) for _ in range(6))
+        random_measure(rng, scale=5.0) for _ in range(int(rng.integers(10, 41))))
     d = mm.hausdorff_distance(x, y)
     assert 0.0 <= d <= 1.0
-    assert d == mm.hausdorff_distance(y, x)
+    assert d == mm.hausdorff_distance(y, x) == hausdorff_reference(x, y)
 
 
 def test_hausdorff_dimension_mismatch():
@@ -561,6 +581,24 @@ def test_hausdorff_equals_unpruned_reference_on_mixed_atom_counts(metric):
     rng = np.random.default_rng(15)
     for trial in range(20):
         pruned_equals_reference(*random_measure_sets(rng, 1 + trial % 3), metric)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_hausdorff_equals_unpruned_reference_on_dinic_sized_members(metric):
+    # 11-16 atoms a member, beyond the subset kernel.  Some members of y are
+    # near copies of members of x, so rows find small minima early and the
+    # capped evaluations skip the other candidates.
+    rng = np.random.default_rng(19)
+
+    def members(count):
+        return [mm.WeightedPointMeasure(rng.uniform(-1.0, 1.0, (m, 2)), random_weights(rng, m))
+                for m in rng.integers(SUBSET_KERNEL_MAX_ATOMS + 1, 17, count)]
+
+    x = members(6)
+    y = [mm.WeightedPointMeasure(mu.points + rng.uniform(-0.02, 0.02, mu.points.shape),
+                                 mu.weights) for mu in x[:3]] + members(4)
+    pruned_equals_reference(mm.MeasureSet.from_measures(x), mm.MeasureSet.from_measures(y),
+                            metric)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -665,25 +703,31 @@ def test_exact_orbit_distance_to_a_relabeling_is_zero(seed):
 
 
 def test_hausdorff_work_on_path4_vs_paw_is_pinned(monkeypatch):
-    # Counts of one fixed exact-orbit pair: evaluation calls and the pairs
-    # they carry.  A change to the search order or batching moves them.
-    pair_lp, calls = mm.measures._pair_lp, []
+    # Counts of one fixed exact-orbit pair: evaluation calls, the pairs they
+    # carry and the pairs that reach the subset kernel.  A change to the
+    # search order, the batching or the cap test moves them.
+    pair_lp, lp_subsets, calls, kernel = mm.measures._pair_lp, mm.measures._lp_subsets, [], []
 
     def counted_pair_lp(*args):
         lp = pair_lp(*args)
 
-        def counted(i, j):
+        def counted(i, j, cap=None):
             calls.append(np.broadcast(i, j).size)
-            return lp(i, j)
+            return lp(i, j, cap=cap)
 
         return counted
 
+    def counted_lp_subsets(dist, *args):
+        kernel.append(len(dist))
+        return lp_subsets(dist, *args)
+
     monkeypatch.setattr(mm.measures, "_pair_lp", counted_pair_lp)
+    monkeypatch.setattr(mm.measures, "_lp_subsets", counted_lp_subsets)
     graphs = four_vertex_classes()
     value = mm.one_profile_distance(mm.adjacency(graphs["path4"]),
                                     mm.adjacency(graphs["paw"]), ORBIT)
     assert value > 0.0
-    assert (len(calls), sum(calls)) == (34, 595)
+    assert (len(calls), sum(calls), sum(kernel)) == (34, 627, 331)
 
 
 def shuffled(s: mm.MeasureSet, rng) -> mm.MeasureSet:
@@ -831,6 +875,49 @@ def test_bound_slack_covers_the_rounding_of_mass_terms(metric):
     value, bound = lp(0, [1])[0], lp(0, [1], bound=True)[0]
     assert value == lp_reference(mu, nu, metric)
     assert value < bound <= value + _BOUND_SLACK
+    # Capped at its own distance, the pair is evaluated, not skipped.
+    assert lp(0, [1], cap=value).tolist() == [value]
+
+
+@given(SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_capped_pairs_are_skipped_exactly_where_the_lower_bound_exceeds_the_cap(seed):
+    # The sort-free test of _far_pairs against _lp_lower_bound, at thresholds
+    # taken from the pairs' own distances and at random ones; then the
+    # evaluator: a capped pair reads NaN iff its bound exceeds cap +
+    # _BOUND_SLACK, and otherwise its uncapped value.
+    rng = np.random.default_rng(seed)
+    metric, kind, dim = METRICS[seed % 2], seed // 2 % 3, 1 + seed // 6 % 6
+    members = bound_corpus(rng, kind, dim)
+    rows, cols = np.triu_indices(len(members), 1)
+    for i, j in zip(rows, cols):
+        mu, nu = members[i], members[j]
+        dist = _point_distances(mu.points, nu.points, metric)
+        t = np.concatenate((dist.ravel(), rng.uniform(0.0, 1.2, 8), [0.0]))
+        batch = np.repeat(dist[None], len(t), axis=0)
+        a, b = np.tile(mu.weights, (len(t), 1)), np.tile(nu.weights, (len(t), 1))
+        assert np.array_equal(_far_pairs(batch, a, b, t), _lp_lower_bound(batch, a, b) > t)
+    lp = _pair_lp(members, metric)
+    exact, bounds = lp(rows, cols), lp(rows, cols, bound=True)
+    caps = np.where(rng.random(len(rows)) < 0.5, exact, rng.uniform(0.0, 1.0, len(rows)))
+    capped = lp(rows, cols, cap=caps)
+    skipped = np.isnan(capped)
+    assert np.array_equal(skipped, bounds > caps + _BOUND_SLACK)
+    assert np.array_equal(capped[~skipped], exact[~skipped])
+    assert (exact[skipped] > caps[skipped]).all()
+
+
+def test_a_capped_pair_within_the_dedup_tolerance_reads_zero():
+    # Nudges of 0.9e-9 on six coordinates keep the keys within SET_DEDUP_TOL
+    # but put each atom 2.2e-9 (Euclidean) from its copy, above cap +
+    # _BOUND_SLACK: the equality rule must answer before the cap is tested.
+    rng = np.random.default_rng(29)
+    mu = mm.WeightedPointMeasure(rng.uniform(-1.0, 1.0, (4, 6)), random_weights(rng, 4))
+    nudged = mm.WeightedPointMeasure(mu.points + 0.9e-9, mu.weights)
+    assert mm.measure_equal(mu, nudged)
+    assert (np.linalg.norm(nudged.points - mu.points, axis=1) > 2e-9).all()
+    for metric in METRICS:
+        assert _pair_lp([mu, nudged], metric)(0, [1], cap=0.0).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("metric", METRICS)

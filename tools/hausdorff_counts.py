@@ -14,15 +14,17 @@ and rebound in every ``matmeasure`` module that holds them, as
 ``bench/tracer.py`` does.  Each call of the ``lp`` evaluator that
 ``_pair_lp`` returns is counted with its pairs: an exact call in
 ``lp_calls`` and ``pairs``, a lower-bound call (``bound=True``) in
-``bound_calls`` and ``bounded_pairs``.  ``skipped_pairs`` counts the
-distinct pairs an evaluator bounded but never evaluated, and each
-subset-kernel call is counted with its pairs.  A Hausdorff case holds these
+``bound_calls`` and ``bounded_pairs``.  Of the exact calls' pairs,
+``capped_pairs`` counts those sent with a ``cap`` and ``cap_skipped`` those
+the cap left unevaluated (NaN).  ``skipped_pairs`` counts the distinct pairs
+an evaluator bounded but never evaluated, and each subset-kernel call is
+counted with its pairs.  A Hausdorff case holds these
 counts and every Hausdorff value in call order as ``float.hex``; the
 ``reconstruct`` case holds the evaluator counts twice, for the minimum
 searches (``min_search``, inside ``min_pairwise_lp``) and for the isolation
 checks (``isolation``, every other call), then ``lp_feasible_calls`` and
 the sha256 of the ops' stdout.  The counts depend only on the code, so two
-checkouts can be compared run against run.  C6 vs P6 takes about 3 s, C6 vs
+checkouts can be compared run against run.  C6 vs P6 takes about 2 s, C6 vs
 a relabeled C6 a few milliseconds.
 
 The ``build`` case counts the construction of measure sets, in the seed-1
@@ -85,8 +87,8 @@ class Counter:
     """Wraps the pair evaluator, the subset kernel, the feasibility decision,
     the minimum search and the Hausdorff entry."""
 
-    COUNTS = ("lp_calls", "pairs", "bound_calls", "bounded_pairs", "kernel_calls",
-              "kernel_pairs")
+    COUNTS = ("lp_calls", "pairs", "capped_pairs", "cap_skipped", "bound_calls",
+              "bounded_pairs", "kernel_calls", "kernel_pairs")
 
     def __init__(self):
         self.scope = "other"
@@ -115,18 +117,26 @@ class Counter:
         lp = self._pair_lp(*args)
         seen = None
 
-        def counted(i, j, bound=False):
+        def counted(i, j, bound=False, cap=None):
             nonlocal seen
             counts = self.counts[self.scope]
+            size = np.broadcast(i, j).size
             counts["bound_calls" if bound else "lp_calls"] += 1
-            counts["bounded_pairs" if bound else "pairs"] += np.broadcast(i, j).size
+            counts["bounded_pairs" if bound else "pairs"] += size
             if bound and seen is None:
                 seen = (self.scope, set(), set())
                 self.evaluators.append(seen)
             if seen is not None:
                 rows, cols = np.broadcast_arrays(i, j)
                 seen[1 if bound else 2].update(zip(rows.tolist(), cols.tolist()))
-            return lp(i, j, bound=True) if bound else lp(i, j)
+            if bound:
+                return lp(i, j, bound=True)
+            if cap is None:
+                return lp(i, j)
+            out = lp(i, j, cap=cap)
+            counts["capped_pairs"] += size
+            counts["cap_skipped"] += int(np.isnan(out).sum())
+            return out
 
         return counted
 
