@@ -35,6 +35,10 @@ leaves NaN for the others, whose distance exceeds the cap: the Hausdorff
 search caps each candidate at its row's running minimum, and
 reconstruction's isolation check at its threshold.
 
+A ``MeasureSet`` holds its members' canonical keys stacked by atom count,
+and the evaluator reads those stacks, so a set made by ``from_arrays``
+builds its member objects only when a caller reads ``members``.
+
 The tests cross-check both kernels and the bound against a brute-force
 oracle that evaluates the two defining inequalities directly over all unions
 of support atoms, and the pruned searches against the full distance table.
@@ -261,13 +265,37 @@ class MeasureSet:
 
     No two members are equal under canonical-atom comparison at the
     construction tolerance (``SET_DEDUP_TOL`` by default).
+
+    A set holds its members' canonical keys stacked by atom count, in member
+    order (``_key_stacks``).  ``from_arrays`` keeps only these stacks, and
+    ``members`` builds the member objects from them on first read; a set
+    made from member objects stacks their keys on first need.  ``len``,
+    ``contains``, the pair evaluator and the Hausdorff and minimum searches
+    read the stacks, so they build no member.
     """
 
-    __slots__ = ("dim", "members")
+    __slots__ = ("dim", "_members", "_stacks")
 
     def __init__(self, dim: int, members: tuple[WeightedPointMeasure, ...]):
         self.dim = dim
-        self.members = members
+        self._members = tuple(members)
+        self._stacks = None
+
+    @classmethod
+    def _from_stacks(cls, dim: int, stacks: tuple) -> "MeasureSet":
+        """A set of the keys ``stacks`` (``_key_stacks``' triple) holds, as they are."""
+        out = cls.__new__(cls)
+        out.dim, out._members, out._stacks = dim, None, stacks
+        return out
+
+    @property
+    def members(self) -> tuple[WeightedPointMeasure, ...]:
+        if self._members is None:
+            counts, slot, stacks = self._stacks
+            self._members = tuple(
+                WeightedPointMeasure.__new__(WeightedPointMeasure)._set_key(stacks[m][s])
+                for m, s in zip(counts.tolist(), slot.tolist()))
+        return self._members
 
     @classmethod
     def from_measures(cls, measures: Iterable[WeightedPointMeasure],
@@ -284,7 +312,8 @@ class MeasureSet:
     def from_arrays(cls, stacks: Iterable, weights) -> "MeasureSet":
         """``from_measures`` over the rows of point stacks (P, m, d) with atom
         weights (m,), stack by stack, so memory follows the largest stack and
-        the kept keys; only kept members become objects."""
+        the kept keys.  The set holds the kept keys, and builds no member
+        object until ``members`` is read."""
         weights, kept = np.asarray(weights, dtype=float), []
         for points in stacks:
             points = np.asarray(points, dtype=float)
@@ -295,26 +324,28 @@ class MeasureSet:
             # Kept keys stay kept (none lies within tol of an earlier one), so
             # deduplicating them with the new keys is the greedy rule over all rows.
             old, candidates = len(kept), [*kept, *keys] if kept else keys
-            kept += [keys[i - old].copy() for i in _dedup(candidates, SET_DEDUP_TOL)[old:]]
+            new = [i - old for i in _dedup(candidates, SET_DEDUP_TOL)[old:]]
+            # Copies, so that the kept keys do not hold the whole stack.
+            kept += (list(keys[new]) if isinstance(keys, np.ndarray)
+                     else [keys[i].copy() for i in new])
         if not kept:
             raise ValueError("a measure set needs at least one measure")
-        return cls(kept[0].shape[1] - 1, tuple(
-            WeightedPointMeasure.__new__(WeightedPointMeasure)._set_key(key) for key in kept))
+        return cls._from_stacks(kept[0].shape[1] - 1, _stack_keys(kept))
 
     def contains(self, mu: WeightedPointMeasure, tol: float = SET_DEDUP_TOL) -> bool:
         if mu.dim != self.dim:
             raise ValueError(f"dimension mismatch: {mu.dim} vs {self.dim}")
-        return any(measure_equal(mu, member, tol) for member in self.members
-                   if member.atom_count == mu.atom_count)
+        keys = _key_stacks(self)[2].get(mu.atom_count)
+        return keys is not None and bool((np.abs(keys - mu._key) <= tol).all(axis=(1, 2)).any())
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._members) if self._stacks is None else len(self._stacks[0])
 
     def __iter__(self):
         return iter(self.members)
 
     def __repr__(self) -> str:
-        return f"MeasureSet(dim={self.dim}, size={len(self.members)})"
+        return f"MeasureSet(dim={self.dim}, size={len(self)})"
 
 
 def measure_sets_equal(x: MeasureSet, y: MeasureSet, tol: float = SET_DEDUP_TOL) -> bool:
@@ -327,12 +358,31 @@ def measure_sets_equal(x: MeasureSet, y: MeasureSet, tol: float = SET_DEDUP_TOL)
 
 def _point_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
     """Distances between the rows of ``a`` (..., m1, d) and ``b`` (..., m2, d)."""
+    if metric == "euclidean" and 0 < a.shape[-1] < 8:
+        # One coordinate at a time: below 8 terms numpy's sum over the last
+        # axis adds the squares in this order too, so the bits are the same.
+        total = None
+        for c in range(a.shape[-1]):
+            gap = a[..., :, None, c] - b[..., None, :, c]
+            gap *= gap
+            total = gap if total is None else np.add(total, gap, out=total)
+        return np.sqrt(total, out=total)
     diff = a[..., :, None, :] - b[..., None, :, :]
     if metric == "euclidean":
         return np.sqrt((diff * diff).sum(axis=-1))
     if metric == "chebyshev":
         return np.abs(diff).max(axis=-1)
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+
+def _row_min(x: np.ndarray) -> np.ndarray:
+    """``x.min(axis=-1, initial=inf)`` by one elementwise minimum per column:
+    the same bits, as a minimum does not round, and several times faster
+    than numpy's reduction along a short last axis."""
+    out = np.full(x.shape[:-1], np.inf)
+    for k in range(x.shape[-1]):
+        np.minimum(out, x[..., k], out=out)
+    return out
 
 
 def _uses_subset_kernel(m_small: int, m_large: int) -> bool:
@@ -400,15 +450,23 @@ def _lp_lower_bound(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     min over k = 0..m of max(r_(k+1), W_k), with r_(m+1) = 0, and by symmetry
     LP >= max(tau_mu, tau_nu).  It costs O(m1 m2) per pair against the
     kernel's 2^m1 sorted rows.  Only ``_pair_lp`` calls it.
+
+    A side whose weights are equal within each pair, as in every orbit of a
+    matrix with uniform index weights, sorts r alone and takes the weights'
+    own prefix sums: W_k is then the same sum in any atom order, so the bits
+    equal those of the general path, which sorts the weights along with r.
     """
     taus = []
-    for r, w in ((dist.min(axis=2), a), (dist.min(axis=1), b)):
-        order = np.argsort(-r, axis=1, kind="stable")
-        r = np.take_along_axis(r, order, axis=1)
-        mass = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
+    for r, w in ((_row_min(dist), a), (_row_min(dist.swapaxes(1, 2)), b)):
+        if (w == w[:, :1]).all():
+            r, mass = np.sort(r, axis=1)[:, ::-1], w.cumsum(axis=1)
+        else:
+            order = np.argsort(-r, axis=1, kind="stable")
+            r = np.take_along_axis(r, order, axis=1)
+            mass = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
         # k = 0 gives r_(1), k = m gives W_m, and 0 < k < m gives max(r_(k+1), W_k).
         taus.append(np.minimum(np.minimum(r[:, 0], mass[:, -1]),
-                               np.maximum(r[:, 1:], mass[:, :-1]).min(axis=1, initial=np.inf)))
+                               _row_min(np.maximum(r[:, 1:], mass[:, :-1]))))
     return np.maximum(*taus)
 
 
@@ -424,8 +482,8 @@ def _far_pairs(dist: np.ndarray, a: np.ndarray, b: np.ndarray, t: np.ndarray) ->
     k has a term above t.  The masses are summed here in atom order rather
     than in r order, a rounding difference far inside ``_BOUND_SLACK``."""
     col = t[:, None]
-    return ((np.where(dist.min(axis=2) > col, a, 0.0).sum(axis=1) > t)
-            | (np.where(dist.min(axis=1) > col, b, 0.0).sum(axis=1) > t))
+    return ((np.where(_row_min(dist) > col, a, 0.0).sum(axis=1) > t)
+            | (np.where(_row_min(dist.swapaxes(1, 2)) > col, b, 0.0).sum(axis=1) > t))
 
 
 def _lp_breakpoints(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -488,37 +546,79 @@ def lp_distance(mu: WeightedPointMeasure, nu: WeightedPointMeasure,
     return float(_pair_lp((mu, nu), metric)(0, [1])[0])
 
 
-def _key_stacks(members: Sequence[WeightedPointMeasure]):
-    """The canonical keys of ``members`` stacked by atom count: ``counts`` (N,)
-    holds each member's atom count, ``stacks[m]`` (k_m, m, d + 1) the keys of
-    the members with m atoms in member order, and ``slot`` (N,) each member's
-    row in its stack.  A key holds its points, and its weights in the last column."""
-    if len(dims := {mu.dim for mu in members}) > 1:
-        raise ValueError(f"measures must share a dimension; found {sorted(dims)}")
-    counts = np.array([mu.atom_count for mu in members], dtype=np.intp)
-    slot = np.empty(len(members), dtype=np.intp)
+def _stack_keys(keys: Sequence[np.ndarray]) -> tuple:
+    """Canonical keys stacked by atom count: ``counts`` (N,) holds each key's
+    atom count, ``stacks[m]`` (k_m, m, d + 1) the keys with m atoms in the
+    given order, read-only, and ``slot`` (N,) each key's row in its stack.  A
+    key holds its points, and its weights in the last column."""
+    counts = np.array([len(key) for key in keys], dtype=np.intp)
+    slot = np.empty(len(keys), dtype=np.intp)
     stacks = {}
     for m in set(counts.tolist()):
         group = np.flatnonzero(counts == m)
         slot[group] = np.arange(len(group))
-        stacks[m] = np.stack([members[k]._key for k in group])
+        stacks[m] = np.stack([keys[k] for k in group])
+        stacks[m].setflags(write=False)
     return counts, slot, stacks
 
 
-def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
-    """The Levy-Prokhorov evaluator: LP distances between pairs of ``members``.
+def _key_stacks(members) -> tuple:
+    """``_stack_keys`` of the members of a ``MeasureSet``, which the set holds,
+    or of a sequence of measures."""
+    if isinstance(members, MeasureSet):
+        if members._stacks is None:
+            members._stacks = _stack_keys([mu._key for mu in members._members])
+        return members._stacks
+    if len(dims := {mu.dim for mu in members}) > 1:
+        raise ValueError(f"measures must share a dimension; found {sorted(dims)}")
+    return _stack_keys([mu._key for mu in members])
+
+
+def _joined(x: MeasureSet, y: MeasureSet) -> MeasureSet:
+    """The members of ``x`` and then of ``y``, not deduplicated, as one set
+    whose stacks join the two sets' stacks of each atom count."""
+    if x.dim != y.dim:
+        raise ValueError(f"measures must share a dimension; found {sorted({x.dim, y.dim})}")
+    (cx, sx, kx), (cy, sy, ky) = _key_stacks(x), _key_stacks(y)
+    sy = sy.copy()
+    for m in kx.keys() & ky.keys():
+        sy[cy == m] += len(kx[m])
+    stacks = {m: np.concatenate([s[m] for s in (kx, ky) if m in s])
+              for m in kx.keys() | ky.keys()}
+    joined = np.concatenate((cx, cy)), np.concatenate((sx, sy)), stacks
+    return MeasureSet._from_stacks(x.dim, joined)
+
+
+def _canonical_rank(counts: np.ndarray, slot: np.ndarray, stacks: dict) -> np.ndarray:
+    """Each member's position in canonical order: fewer atoms first, then key
+    bytes (``tobytes``), ties in member order."""
+    rank = np.empty(len(counts), dtype=np.intp)
+    start = 0
+    for m in sorted(stacks):
+        data = [key.tobytes() for key in stacks[m]]
+        place = np.empty(len(data), dtype=np.intp)
+        place[sorted(range(len(data)), key=data.__getitem__)] = np.arange(start, start + len(data))
+        group = counts == m
+        rank[group] = place[slot[group]]
+        start += len(data)
+    return rank
+
+
+def _pair_lp(members, metric: str):
+    """The Levy-Prokhorov evaluator: LP distances between pairs of ``members``,
+    a ``MeasureSet`` or a sequence of measures.
 
     Returns ``lp(i, j, bound=False, cap=None)``: for index arrays ``i``,
     ``j`` into ``members`` (or one scalar; i != j), those pairs' LP
     distances.  Pairs with one atom count whose canonical keys lie within
     ``SET_DEDUP_TOL`` (``measure_equal``) are at distance exactly 0.0, which
     keeps distances between a matrix and its relabelings identically zero.
-    Every other pair is oriented by canonical rank (fewer atoms first, then
-    key bytes), so the value is exactly symmetric and the smaller support
-    comes first.  Pairs with the same two atom counts share subset-kernel
-    calls in chunks of about ``_CHUNK_CELLS`` table cells, which reuse one
-    work buffer per call; pairs too big for the kernel go one at a time to
-    the Dinic breakpoint search.
+    Every other pair is oriented by canonical rank (``_canonical_rank``:
+    fewer atoms first, then key bytes), so the value is exactly symmetric
+    and the smaller support comes first.  Pairs with the same two atom
+    counts share subset-kernel calls in chunks of about ``_CHUNK_CELLS``
+    table cells, which reuse one work buffer per call; pairs too big for the
+    kernel go one at a time to the Dinic breakpoint search.
 
     With ``bound``, ``lp`` returns instead the pairs' lower bounds
     (``_lp_lower_bound``, 0.0 on equal pairs too).  With ``cap`` (a scalar,
@@ -527,16 +627,17 @@ def _pair_lp(members: Sequence[WeightedPointMeasure], metric: str, stacks=None):
     evaluated and reads NaN: its computed distance would exceed the cap.
     Both read the atom distances in chunks of at most ``_CHUNK_CELLS`` cells
     of the pairs' coordinate differences, and a capped chunk hands its
-    surviving pairs, with their distances, to the kernels.  ``stacks`` is
-    ``_key_stacks(members)``, when the caller has built it.
+    surviving pairs, with their distances, to the kernels.
+
+    The evaluator reads only the members' key stacks (``_key_stacks``),
+    which a set holds: it re-stacks no key of a set, and builds no member.
     """
     # Checked up front: equal pairs are at distance 0 under any metric, so
     # without it a misspelt metric would pass unnoticed on equal inputs.
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    counts, slot, keys = _key_stacks(members) if stacks is None else stacks
-    rank = np.argsort(sorted(range(len(members)), key=lambda k: (
-        members[k].atom_count, members[k]._key.tobytes())))
+    counts, slot, keys = _key_stacks(members)
+    rank = _canonical_rank(counts, slot, keys)
 
     def lp(i, j, bound: bool = False, cap=None) -> np.ndarray:
         swap = rank[j] < rank[i]
@@ -595,9 +696,10 @@ def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
     Pairs are then evaluated in ascending bound order, in blocks of 1, 2, 4,
     ... pairs, one call per block.  A pair whose bound exceeds the best value
     so far by ``_BOUND_SLACK`` cannot beat it, so such pairs are skipped, and
-    the search stops at the first of them in bound order.
+    the search stops at the first of them in bound order.  A ``MeasureSet``
+    is read from its key stacks, without building its members.
     """
-    members = list(measures)
+    members = measures if isinstance(measures, MeasureSet) else list(measures)
     rows, cols = np.triu_indices(len(members), 1)
     lp = _pair_lp(members, metric)
     bounds = lp(rows, cols, bound=True)
@@ -613,13 +715,15 @@ def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
 
 def _prejoin(table: np.ndarray, x: MeasureSet, y: MeasureSet) -> None:
     """Put 0.0, what ``lp_distance`` returns there, in ``table`` at every pair
-    of members with bitwise-equal canonical keys.  The key's shape is part
-    of the match: equal bytes can belong to different dimensions."""
-    in_y = {(mu._key.shape, mu._key.tobytes()): j for j, mu in enumerate(y)}
-    for i, mu in enumerate(x):
-        j = in_y.get((mu._key.shape, mu._key.tobytes()))
-        if j is not None:
-            table[i, j] = 0.0
+    of members with bitwise-equal canonical keys, matched within the key
+    stacks of one atom count (the sets share their dimension)."""
+    (cx, _, kx), (cy, _, ky) = _key_stacks(x), _key_stacks(y)
+    for m in kx.keys() & ky.keys():
+        in_y = {key.tobytes(): j for key, j in zip(ky[m], np.flatnonzero(cy == m))}
+        for key, i in zip(kx[m], np.flatnonzero(cx == m)):
+            j = in_y.get(key.tobytes())
+            if j is not None:
+                table[i, j] = 0.0
 
 
 def _quantile_sketch(counts: np.ndarray, stacks: dict) -> np.ndarray:
@@ -725,13 +829,14 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
       in either direction.
 
     The visiting order changes only the work: the result is the largest row
-    or column minimum of the full table, bit for bit.
+    or column minimum of the full table, bit for bit.  The search reads the
+    sets' key stacks, joined per atom count, and builds no member object.
     """
     if len(x) == 0 or len(y) == 0:
         raise ValueError("Hausdorff distance needs nonempty measure sets")
-    members = x.members + y.members
-    counts, slot, stacks = _key_stacks(members)
-    lp = _pair_lp(members, metric, (counts, slot, stacks))
+    members = _joined(x, y)
+    counts, _, stacks = _key_stacks(members)
+    lp = _pair_lp(members, metric)
     sketch = _quantile_sketch(counts, stacks)
     table = np.full((len(x), len(y)), np.nan)
     _prejoin(table, x, y)

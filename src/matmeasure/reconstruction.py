@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .matrices import MeasuredMatrix, norm_inf_to_1, orbit_measures, perturb
-from .measures import MASS_SLACK, WeightedPointMeasure, _pair_lp, min_pairwise_lp
+from .measures import MASS_SLACK, WeightedPointMeasure, _key_stacks, _pair_lp, min_pairwise_lp
 
 KERNEL_RESIDUAL_TOL = 1e-9
 IRREDUCIBLE_LIMIT = 6
@@ -313,15 +313,23 @@ class MeasureOracle:
         return norm_inf_to_1(self._matrix).value
 
     def orbit_size(self, x) -> int:
+        """Number of distinct measures in the orbit of ``x``, counted on the
+        orbit's key stacks without building its members."""
         x = np.asarray(x, dtype=float).ravel()
         self._log.append(("orbit_size", x.copy()))
         return len(orbit_measures(self._matrix, x))
 
     def orbit_supports(self, x) -> tuple[OrderedSupport, ...]:
-        """Ordered supports of every measure in the orbit of ``x``."""
+        """Ordered supports of every measure in the orbit of ``x``.  The orbit's
+        measures are planar, and a tie among first coordinates raises what
+        ``ordered_support`` raises, found by one check per key stack."""
         x = np.asarray(x, dtype=float).ravel()
         self._log.append(("orbit_supports", x.copy()))
-        return tuple(ordered_support(mu) for mu in orbit_measures(self._matrix, x))
+        orbit = orbit_measures(self._matrix, x)
+        for keys in _key_stacks(orbit)[2].values():
+            if (np.diff(keys[..., 0], axis=1) <= 0.0).any():
+                raise DegenerateSupportError("tied first coordinates; support not unique")
+        return tuple(OrderedSupport(mu) for mu in orbit.members)
 
 
 def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,

@@ -87,6 +87,20 @@ def hausdorff_reference(x: mm.MeasureSet, y: mm.MeasureSet, metric: str = "eucli
     return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
 
 
+def lower_bound_reference(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``measures._lp_lower_bound`` by its general path on every side: the
+    weights are put in r's descending order by a stable argsort and summed
+    there, and the minima are numpy reductions."""
+    taus = []
+    for r, w in ((dist.min(axis=2), a), (dist.min(axis=1), b)):
+        order = np.argsort(-r, axis=1, kind="stable")
+        r = np.take_along_axis(r, order, axis=1)
+        mass = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
+        taus.append(np.minimum(np.minimum(r[:, 0], mass[:, -1]),
+                               np.maximum(r[:, 1:], mass[:, :-1]).min(axis=1, initial=np.inf)))
+    return np.maximum(*taus)
+
+
 def measure_set_reference(measures, tol: float = SET_DEDUP_TOL) -> list:
     """Greedy dedup by hand: keep each measure unless ``measure_equal`` holds
     for it and a member with the same atom count kept before it."""

@@ -5,12 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (_BOUND_SLACK, MASS_SLACK, METRICS, SET_DEDUP_TOL,
-                                 SUBSET_KERNEL_MAX_ATOMS, _dedup, _far_pairs, _key_stacks,
-                                 _lp_breakpoints, _lp_lower_bound, _lp_subsets, _pair_lp,
-                                 _point_distances, _quantile_sketch)
+                                 SUBSET_KERNEL_MAX_ATOMS, _canonical_rank, _dedup, _far_pairs,
+                                 _joined, _key_stacks, _lp_breakpoints, _lp_lower_bound,
+                                 _lp_subsets, _pair_lp, _point_distances, _quantile_sketch)
 from conftest import (dedup_reference, far_mass_pair, four_vertex_classes, hausdorff_reference,
-                      lp_oracle, lp_reference, measure_set_reference, random_measure,
-                      random_weights)
+                      lower_bound_reference, lp_oracle, lp_reference, measure_set_reference,
+                      random_measure, random_weights)
 
 HALF = 0.5
 
@@ -880,12 +880,16 @@ def test_bound_slack_covers_the_rounding_of_mass_terms(metric):
 
 
 @given(SEEDS)
+@example(41606)
 @settings(max_examples=40, deadline=None)
 def test_capped_pairs_are_skipped_exactly_where_the_lower_bound_exceeds_the_cap(seed):
     # The sort-free test of _far_pairs against _lp_lower_bound, at thresholds
     # taken from the pairs' own distances and at random ones; then the
     # evaluator: a capped pair reads NaN iff its bound exceeds cap +
-    # _BOUND_SLACK, and otherwise its uncapped value.
+    # _BOUND_SLACK, and otherwise its uncapped value.  _far_pairs sums the far
+    # masses in atom order and the bound in r order, so the two may round
+    # apart where the bound meets t: seed 41606 has a mass of 0x1.8p-1
+    # against 0x1.8000000000001p-1 at t = 0.75.  They must agree elsewhere.
     rng = np.random.default_rng(seed)
     metric, kind, dim = METRICS[seed % 2], seed // 2 % 3, 1 + seed // 6 % 6
     members = bound_corpus(rng, kind, dim)
@@ -896,7 +900,9 @@ def test_capped_pairs_are_skipped_exactly_where_the_lower_bound_exceeds_the_cap(
         t = np.concatenate((dist.ravel(), rng.uniform(0.0, 1.2, 8), [0.0]))
         batch = np.repeat(dist[None], len(t), axis=0)
         a, b = np.tile(mu.weights, (len(t), 1)), np.tile(nu.weights, (len(t), 1))
-        assert np.array_equal(_far_pairs(batch, a, b, t), _lp_lower_bound(batch, a, b) > t)
+        bound = _lp_lower_bound(batch, a, b)
+        clear = np.abs(bound - t) > 1e-12
+        assert np.array_equal(_far_pairs(batch, a, b, t)[clear], (bound > t)[clear])
     lp = _pair_lp(members, metric)
     exact, bounds = lp(rows, cols), lp(rows, cols, bound=True)
     caps = np.where(rng.random(len(rows)) < 0.5, exact, rng.uniform(0.0, 1.0, len(rows)))
@@ -905,6 +911,47 @@ def test_capped_pairs_are_skipped_exactly_where_the_lower_bound_exceeds_the_cap(
     assert np.array_equal(skipped, bounds > caps + _BOUND_SLACK)
     assert np.array_equal(capped[~skipped], exact[~skipped])
     assert (exact[skipped] > caps[skipped]).all()
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_uniform_weight_bound_equals_the_argsort_path(seed):
+    # Uniform sides take np.sort and their own prefix sums; the reference
+    # sorts every side's weights with r.  Half the batches sit on a grid of
+    # step 1/2, where nearest distances tie; the second side is uniform, or
+    # carries random weights and takes the general path.
+    rng = np.random.default_rng(seed)
+    metric, dim = METRICS[seed % 2], 1 + seed // 2 % 6
+    m1, m2, pairs = (int(k) for k in rng.integers(1, 14, 3))
+    grid = rng.random() < 0.5
+
+    def points(m):
+        if grid:
+            return rng.integers(-2, 3, (pairs, m, dim)) / 2.0
+        return rng.uniform(-1.0, 1.0, (pairs, m, dim)) * float(rng.choice([0.2, 1.0, 3.0]))
+
+    dist = _point_distances(points(m1), points(m2), metric)
+    a = np.full((pairs, m1), 1.0 / m1)
+    b = (np.full((pairs, m2), 1.0 / m2) if rng.random() < 0.7
+         else np.array([random_weights(rng, m2) for _ in range(pairs)]))
+    assert np.array_equal(_lp_lower_bound(dist, a, b), lower_bound_reference(dist, a, b))
+    assert np.array_equal(_lp_lower_bound(dist.swapaxes(1, 2), b, a),
+                          lower_bound_reference(dist.swapaxes(1, 2), b, a))
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_point_distances_equal_the_axis_reduction(dim):
+    # Below 8 coordinates the Euclidean distance adds the squares one
+    # coordinate at a time; numpy's reduction must give the same bits.
+    rng = np.random.default_rng(dim)
+    scale = 10.0 ** rng.integers(-3, 4, (1, 1, dim))
+    a, b = rng.normal(size=(6, 5, dim)) * scale, rng.normal(size=(6, 7, dim)) * scale
+    a[:, 0] = b[:, 0]  # a zero distance
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    assert np.array_equal(_point_distances(a, b, "euclidean"), np.sqrt((diff * diff).sum(axis=-1)))
+    assert np.array_equal(_point_distances(a, b, "chebyshev"), np.abs(diff).max(axis=-1))
+    assert np.array_equal(_point_distances(a[2], b[2], "euclidean"),
+                          np.sqrt((diff[2] * diff[2]).sum(axis=-1)))
 
 
 def test_a_capped_pair_within_the_dedup_tolerance_reads_zero():
@@ -1108,6 +1155,70 @@ def test_from_arrays_equals_from_measures_of_the_rows(blocks):
     single = mm.MeasureSet.from_measures(mm.WeightedPointMeasure(p, weights) for p in points)
     assert any(mu.atom_count < 4 for mu in batch)
     assert _same_members(batch, single)
+
+
+def _same_member_arrays(built, expected) -> bool:
+    """Keys, points, weights and means agree bit for bit, member by member."""
+    def arrays(s):
+        return [(mu._key.tobytes(), mu.points.tobytes(), mu.weights.tobytes(), mu.mean.tobytes())
+                for mu in s]
+    return arrays(built) == arrays(expected)
+
+
+def test_lazily_built_members_equal_from_measures_on_the_same_rows():
+    # Merged rows put members of 2, 3 and 4 atoms in one set: one key stack
+    # per atom count.  The set counts its members without building them.
+    rng = np.random.default_rng(31)
+    points = rng.integers(-2, 3, (90, 4, 2)) / 3.0
+    points[::5, 1] = points[::5, 0] + 1e-13
+    points[::7, 3] = points[::7, 2] + 1e-13
+    weights = random_weights(rng, 4)
+    built = mm.MeasureSet.from_arrays(np.array_split(points, 4), weights)
+    single = mm.MeasureSet.from_measures(mm.WeightedPointMeasure(p, weights) for p in points)
+    counts, slot, stacks = _key_stacks(built)
+    assert len(built) == len(single) and built._members is None
+    assert sorted(stacks) == [2, 3, 4]
+    assert [len(mu._key) for mu in single] == counts.tolist()
+    assert _same_member_arrays(built, single)
+    assert all(mu._key.base is stacks[len(mu._key)] for mu in built.members)
+    assert not any(keys.flags.writeable for keys in stacks.values())
+
+
+def test_lazily_built_members_of_a_split_order6_profile_equal_from_measures():
+    # 8 orbits of 720 rows of C6 arrive in two stacks (5,040 and 720 rows);
+    # the last orbit, a copy of the second 1e-10 off, is dropped across them.
+    matrix = mm.adjacency(mm.cycle_graph(6))
+    family = mm.orbit_base_family(6, 17)
+    base = family + [family[1] + 1e-10]
+    built = mm.exact_orbit_profile(matrix, base).measures
+    sigmas = mm.matrices.permutations_preserving(matrix.p)
+    expected = mm.MeasureSet.from_measures(
+        mm.generate_measure(matrix, np.sort(u)[sigma]) for u in base for sigma in sigmas)
+    assert len(built) == len(expected) and built._members is None
+    assert _same_member_arrays(built, expected)
+
+
+def test_canonical_rank_is_the_atom_count_then_key_bytes_order():
+    # Mixed atom counts, bitwise repeats (ties go in member order), and the
+    # stacks of two sets joined per atom count, against a stack of their members.
+    rng = np.random.default_rng(37)
+    members = [random_measure(rng, 2, max_atoms=5) for _ in range(40)]
+    members += [members[3], members[0], mm.WeightedPointMeasure(members[7].points,
+                                                                members[7].weights)]
+
+    def reference(group):
+        return np.argsort(sorted(range(len(group)), key=lambda k: (
+            group[k].atom_count, group[k]._key.tobytes())))
+
+    assert np.array_equal(_canonical_rank(*_key_stacks(members)), reference(members))
+    x = mm.MeasureSet.from_arrays([rng.integers(-1, 2, (30, 3, 2)) / 2.0], np.full(3, 1 / 3))
+    y = mm.MeasureSet.from_measures(members)
+    joined = _key_stacks(_joined(x, y))
+    listed = _key_stacks(list(x) + list(y))
+    assert all(np.array_equal(u, v) for u, v in zip(joined[:2], listed[:2]))
+    assert joined[2].keys() == listed[2].keys()
+    assert all(np.array_equal(joined[2][m], listed[2][m]) for m in listed[2])
+    assert np.array_equal(_canonical_rank(*joined), reference(list(x) + list(y)))
 
 
 def test_from_arrays_dedups_across_stacks_by_insertion_order():

@@ -321,6 +321,43 @@ def test_oracle_logs_queries_and_matches_direct_computation():
     assert kinds == ["orbit_size", "orbit_supports"]
 
 
+def test_orbit_size_counts_the_members_without_building_them(monkeypatch):
+    # A generic vector, a vector with tied entries (a smaller orbit), and a
+    # graph whose automorphisms collapse the orbit.
+    built = []
+    set_key = mm.WeightedPointMeasure._set_key
+
+    def counted(mu, key):
+        built.append(key)
+        return set_key(mu, key)
+
+    cases = [(mm.MeasuredMatrix(EXAMPLE_A), [3.0, 1.0, 2.0]), (mm.MeasuredMatrix(EXAMPLE_A),
+             [1.0, 1.0, 2.0]), (mm.adjacency(mm.cycle_graph(5)), [0.1, 0.5, 0.2, 0.9, 0.3])]
+    for matrix, v in cases:
+        oracle = mm.MeasureOracle(matrix)
+        monkeypatch.setattr(mm.WeightedPointMeasure, "_set_key", counted)
+        size = oracle.orbit_size(v)
+        monkeypatch.undo()
+        assert not built
+        assert size == len(mm.orbit_measures(matrix, v).members)
+
+
+def test_orbit_supports_raises_on_tied_first_coordinates_after_logging_the_query():
+    # x has two equal entries whose atoms differ in y: every orbit member has
+    # tied first coordinates, as ordered_support says of each.
+    matrix = mm.MeasuredMatrix(np.diag([1.0, 2.0, 3.0]))
+    oracle = mm.MeasureOracle(matrix)
+    x = np.array([1.0, 1.0, 2.0])
+    with pytest.raises(DegenerateSupportError, match="tied first coordinates"):
+        oracle.orbit_supports(x)
+    assert oracle.query_count == 1
+    kind, logged = oracle.query_log[0]
+    assert kind == "orbit_supports" and np.array_equal(logged, x)
+    for mu in mm.orbit_measures(matrix, x):
+        with pytest.raises(DegenerateSupportError):
+            mm.ordered_support(mu)
+
+
 def test_oracle_norm_bound_dominates_hidden_norm():
     m = mm.MeasuredMatrix(EXAMPLE_B)
     assert mm.MeasureOracle(m).norm_bound() == mm.norm_inf_to_1(m).value

@@ -10,9 +10,14 @@ process.  For every workload, pair ``i`` (seed ``i``, 1..N) runs
 ``--trace 0`` on both sides; odd seeds run the parent first and even seeds
 the change first, so drift on a shared host hits both sides alike.  Runs
 last ``--seconds``, by default the ``run_seconds`` of BENCHMARK.json.  Then
-each side runs ``--trace 1`` once per workload on seed 1.  The file holds
-every result line, a per-metric summary (median and quartiles of each side,
-and in how many pairs the change was better) and the machine info.
+each side runs ``--trace 1`` ``TRACE_RUNS`` times per workload on seed 1,
+alternating as the pairs do; one traced run is a single pass, so its
+timings are as noisy as one op, and only their median is reported.  The
+file holds every result line, a per-metric summary (median and quartiles of
+each side, and in how many pairs the change was better), the median of each
+per-layer value per side, and the machine info.  A count (unit ``count``)
+depends only on the seed, so one that differs between the trace runs of a
+side is reported, and the exit status is then 1.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+TRACE_RUNS = 5
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -67,6 +74,24 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             entry["parent_q1_median_q3"] = quartiles(entry.pop("parent"))
             entry["change_q1_median_q3"] = quartiles(entry.pop("change"))
     return summary
+
+
+def trace_medians(traces: list[dict]) -> tuple[dict, list[str]]:
+    """Per workload and per-layer metric: each side's median over its trace
+    runs; and a message for every count that differs between a side's runs."""
+    runs: dict[tuple[str, str], list[dict]] = {}
+    for run in traces:
+        runs.setdefault((run["workload"], run["side"]), []).append(run["result"]["metrics"])
+    medians: dict[str, dict] = {}
+    mismatches = []
+    for (workload, side), results in sorted(runs.items()):
+        for name, first in results[0].items():
+            values = [result[name]["value"] for result in results]
+            if first["unit"] == "count" and len(set(values)) > 1:
+                mismatches.append(f"{workload} {side} {name}: {values}")
+            entry = medians.setdefault(workload, {}).setdefault(name, {"unit": first["unit"]})
+            entry[side] = statistics.median(values)
+    return medians, mismatches
 
 
 def machine_info() -> dict:
@@ -112,24 +137,31 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       + json.dumps({k: round(v["value"], 4)
                                     for k, v in result["metrics"].items()}), file=sys.stderr)
-    traces = [{"side": side, "workload": workload, "seed": 1,
+    traces = [{"side": side, "workload": workload, "seed": 1, "run": run,
                "result": run_bench(sides[side], workload, 1, seconds, 1)}
-              for workload in workloads for side in ("parent", "change")]
+              for workload in workloads for run in range(TRACE_RUNS)
+              for side in (("parent", "change") if run % 2 == 0 else ("change", "parent"))]
+    medians, mismatches = trace_medians(traces)
+    for message in mismatches:
+        print(f"warning: count differs between trace runs: {message}", file=sys.stderr)
 
     out = args.change / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({
         "description": (
             f"{args.pairs} alternating parent/change pairs of bench/run.py --seconds "
             f"{seconds:g} --trace 0 per workload (seeds 1-{args.pairs}; odd seeds ran "
-            "the parent first, even seeds the change first), and one --trace 1 run per "
-            "workload and side on seed 1, each side from its own checkout."),
+            f"the parent first, even seeds the change first), and {TRACE_RUNS} alternating "
+            "--trace 1 runs per workload and side on seed 1, each side from its own "
+            "checkout; trace1_medians holds the median of each per-layer value."),
         "machine": machine_info(),
         "summary": summarize(pairs, better),
+        "trace1_medians": medians,
+        "trace1_count_mismatches": mismatches,
         "trace0_pairs": pairs,
         "trace1": traces,
     }, indent=1) + "\n")
     print(out)
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

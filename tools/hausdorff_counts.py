@@ -33,9 +33,11 @@ and in the seed-17 exact-orbit profiles of the adjacency matrices of C6, P6,
 C7 and P7.  For each it gives the raw rows handed to the set constructors,
 the stacks they came in (``from_arrays`` makes one ``_canonical_keys`` and
 one ``_dedup`` call per stack), the bitwise-distinct canonical keys among
-them, the kept members, the ``WeightedPointMeasure`` objects constructed
-(counted at ``__new__``), the rows whose atoms were merged, and the sha256
-of the members' keys and means.  ``MeasureSet.from_measures``, and
+them, the kept members, the ``WeightedPointMeasure`` objects the program
+constructed (counted at ``__new__``; a set may build its members on first
+read), the rows whose atoms were merged, and the sha256 of the members' keys
+and means.  The sets are hashed once the case has run, and the members that
+the hashing itself builds are not counted.  ``MeasureSet.from_measures``, and
 ``MeasureSet.from_arrays`` where the checkout has it, are wrapped on their
 class.  Run it alone with
 
@@ -227,7 +229,7 @@ class BuildCounter:
 
     def reset(self) -> None:
         self.counts = dict.fromkeys(self.COUNTS, 0)
-        self.digest = hashlib.sha256()
+        self.sets = []
 
     def record(self, keys, merged: int) -> None:
         self.counts["raw_rows"] += len(keys)
@@ -236,13 +238,22 @@ class BuildCounter:
 
     def members(self, result):
         self.counts["kept_members"] += len(result)
-        for mu in result:
-            self.digest.update(mu._key.tobytes())
-            self.digest.update(mu.mean.tobytes())
+        self.sets.append(result)
         return result
 
     def result(self) -> dict:
-        out = dict(self.counts, members_sha256=self.digest.hexdigest())
+        # The sets are hashed after the case has run, and the members that
+        # reading them builds are not counted: ``objects`` counts what the
+        # program built, as a set may build its members on first read.
+        out = dict(self.counts)
+        digest = hashlib.sha256()
+        self.quiet = True
+        for result in self.sets:
+            for mu in result:
+                digest.update(mu._key.tobytes())
+                digest.update(mu.mean.tobytes())
+        self.quiet = False
+        out["members_sha256"] = digest.hexdigest()
         self.reset()
         return out
 
