@@ -378,7 +378,12 @@ def _point_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
 def _row_min(x: np.ndarray) -> np.ndarray:
     """``x.min(axis=-1, initial=inf)`` by one elementwise minimum per column:
     the same bits, as a minimum does not round, and several times faster
-    than numpy's reduction along a short last axis."""
+    than numpy's reduction along a short last axis.  The loop costs one call
+    per column, so it runs only where the rows outnumber the columns 16 to
+    1, about where the two cost the same (numpy 2.4, x86); wider arrays, such
+    as a one-atom support against hundreds of atoms, take the reduction."""
+    if x.size < 16 * x.shape[-1] ** 2:
+        return x.min(axis=-1, initial=np.inf)
     out = np.full(x.shape[:-1], np.inf)
     for k in range(x.shape[-1]):
         np.minimum(out, x[..., k], out=out)
@@ -409,6 +414,14 @@ def _lp_subsets(dist: np.ndarray, a: np.ndarray, b: np.ndarray,
     along one row, so a pair gets the same bits in any batch.  The tables
     live in ``work``, a flat float buffer of at least ``_subset_cells``
     cells, which a caller reuses across batches.  Only ``_pair_lp`` calls it.
+
+    When the second-side weights are equal within every pair of the batch,
+    as in every orbit of a matrix with uniform index weights, C_k is the
+    same sum in any atom order: the distances are sorted alone and C_k are
+    the weights' own prefix sums, the bits of the general path, which
+    gathers the weights in a stable sort order of the distances and sums
+    them there.  The minimum over k does not round, so it is taken by
+    elementwise minima (``_row_min``).
     """
     p, m1, m2 = dist.shape
     cells = (p << m1) * m2
@@ -427,14 +440,18 @@ def _lp_subsets(dist: np.ndarray, a: np.ndarray, b: np.ndarray,
         np.add(mass[:, :k], a[:, i, None], out=mass[:, k:2 * k])
     near, mass = near[:, 1:], mass[:, 1:]
     covered = work[cells + (p << m1):][:cells - p * m2].reshape(near.shape)
-    order = near.argsort(axis=-1)
-    order += (np.arange(p) * m2)[:, None, None]
-    np.take(b, order, out=covered, mode="clip")
-    covered.cumsum(axis=-1, out=covered)
-    near.sort(axis=-1)
-    np.subtract(mass[..., None], covered, out=covered)
+    if (b == b[:, :1]).all():
+        near.sort(axis=-1)
+        np.subtract(mass[..., None], b.cumsum(axis=1)[:, None, :], out=covered)
+    else:
+        order = near.argsort(axis=-1, kind="stable")
+        order += (np.arange(p) * m2)[:, None, None]
+        np.take(b, order, out=covered, mode="clip")
+        covered.cumsum(axis=-1, out=covered)
+        near.sort(axis=-1)
+        np.subtract(mass[..., None], covered, out=covered)
     np.maximum(near, covered, out=covered)
-    g = np.minimum(covered.min(axis=-1), mass)
+    g = np.minimum(_row_min(covered), mass)
     return np.minimum(g.max(axis=-1), 1.0)
 
 
@@ -745,15 +762,22 @@ def _quantile_sketch(counts: np.ndarray, stacks: dict) -> np.ndarray:
 
 
 def _gap_blocks(sketch: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Yield ``(s, gaps)``: the Euclidean distances (R, C) from the sketches of
-    ``rows[s:s + R]`` to those of ``cols``, a block of R rows at a time, so
-    that the transient squares, w cells a pair, stay within ``_CHUNK_CELLS``."""
+    """Yield ``(s, gaps)``: the squared Euclidean distances (R, C) from the
+    sketches of ``rows[s:s + R]`` to those of ``cols``, as |a|^2 + |b|^2 -
+    2 a.b with one matrix product per block of R = ``_CHUNK_CELLS`` // C
+    rows.  They round otherwise than the sum of squared differences, and may
+    read slightly below 0, but they only order candidates, so the search
+    stays exact; the square root, monotone, is left out."""
     sketch_b = sketch[cols]
-    step = max(1, _CHUNK_CELLS // sketch_b.size)
+    norm_b = np.einsum("ij,ij->i", sketch_b, sketch_b)
+    scaled = -2.0 * sketch_b.T
+    step = max(1, _CHUNK_CELLS // len(cols))
     for s in range(0, len(rows), step):
-        square = np.subtract(sketch_b, sketch[rows[s:s + step], None])
-        np.multiply(square, square, out=square)
-        yield s, np.sqrt(square.sum(axis=-1))
+        sketch_a = sketch[rows[s:s + step]]
+        gaps = sketch_a @ scaled
+        gaps += norm_b
+        gaps += np.einsum("ij,ij->i", sketch_a, sketch_a)[:, None]
+        yield s, gaps
 
 
 def _nearest(sketch: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -779,6 +803,10 @@ def _directed(lp, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     most ``cmax``, and only a row that has seen every candidate raises
     ``cmax``, so the result is exact.  NaN cells are evaluated again when
     the other direction reaches them, under that direction's caps.
+
+    The bookkeeping is in arrays: the live rows, their orders (L, C), and
+    each round's unevaluated cells, taken row by row in candidate order, so
+    the ``lp`` call gets its pairs in the order of a per-row loop.
     """
     best = np.nanmin(table, axis=1)
     queue = np.argsort(-best, kind="stable")
@@ -786,22 +814,21 @@ def _directed(lp, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     size = 1
     while len(queue) and best[queue[0]] > cmax:
         take = min(size, cap)
-        live, queue, size = queue[:take].tolist(), queue[take:], 2 * size
-        orders = {}
+        live, queue, size = queue[:take], queue[take:], 2 * size
+        orders = np.empty((len(live), len(cols)), dtype=np.intp)
         for s, gaps in _gap_blocks(sketch, rows[live], cols):
-            orders.update(zip(live[s:], np.argsort(gaps, axis=1, kind="stable")))
+            orders[s:s + len(gaps)] = np.argsort(gaps, axis=1, kind="stable")
         lo, hi = 0, 3
-        while live := [r for r in live if best[r] > cmax]:
-            blocks = [orders[r][lo:hi] for r in live]
-            todo = [(r, block[np.isnan(table[r, block])]) for r, block in zip(live, blocks)]
-            i = np.concatenate([np.full(len(j), r) for r, j in todo])
-            j = np.concatenate([j for _, j in todo])
-            if len(i):
+        while (alive := best[live] > cmax).any():
+            live, orders = live[alive], orders[alive]
+            block = orders[:, lo:hi]
+            r, c = np.isnan(table[live[:, None], block]).nonzero()
+            if len(r):
+                i, j = live[r], block[r, c]
                 table[i, j] = lp(rows[i], cols[j], cap=best[i])
-            for r, block in zip(live, blocks):
-                best[r] = np.fmin.reduce(table[r, block], initial=best[r])
+            best[live] = np.fmin(best[live], np.fmin.reduce(table[live[:, None], block], axis=1))
             if hi >= len(cols):
-                cmax = max(cmax, max(best[r] for r in live))
+                cmax = max(cmax, best[live].max())
                 break
             lo, hi = hi, 2 * hi + 1
     return cmax

@@ -117,22 +117,29 @@ def halton_block(n: int, count: int = HALTON_BLOCK) -> np.ndarray:
     return points
 
 
+def _canonical_vectors(n: int, seed: int, count: int) -> np.ndarray:
+    """The first ``count`` vectors of the canonical test-vector stream, as
+    rows (count, n): the all-ones vector, the n basis vectors and
+    ``2 * halton_block(n) - 1``, then one ``uniform(-1, 1, (rest, n))`` draw
+    of ``default_rng(seed)``, which equals ``rest`` draws of n values in
+    turn, bit for bit."""
+    fixed = np.concatenate((np.ones((1, n)), np.eye(n), 2.0 * halton_block(n) - 1.0))
+    drawn = np.random.default_rng(seed).uniform(-1.0, 1.0, (max(0, count - len(fixed)), n))
+    return np.concatenate((fixed[:count], drawn))
+
+
 def canonical_vector_stream(n: int, seed: int) -> Iterator[np.ndarray]:
     """Deterministic test-vector stream in [-1, 1]^n.
 
     Order: the all-ones vector (row-sum witness), the canonical basis
-    vectors, a fixed low-discrepancy block, then seeded uniform draws.
+    vectors, a fixed low-discrepancy block, then seeded uniform draws.  It
+    yields the rows of ``_canonical_vectors``, taken in prefixes of doubling
+    length, so that the stream has one definition.
     """
-    yield np.ones(n)
-    for i in range(n):
-        basis = np.zeros(n)
-        basis[i] = 1.0
-        yield basis
-    for row in halton_block(n):
-        yield 2.0 * row - 1.0
-    rng = np.random.default_rng(seed)
+    done, count = 0, n + 1 + HALTON_BLOCK
     while True:
-        yield rng.uniform(-1.0, 1.0, n)
+        yield from _canonical_vectors(n, seed, count)[done:]
+        done, count = count, 2 * count
 
 
 def tuple_law(matrix: MeasuredMatrix, vectors: Sequence[np.ndarray]) -> WeightedPointMeasure:
@@ -150,15 +157,16 @@ def sample_profile(matrix: MeasuredMatrix, k: int, count: int, seed: int) -> Pro
 
     Deterministic given (n, k, count, seed).  Tuples are consecutive groups
     of k stream vectors, so the k = 1 family is the stream prefix itself.
+    The k * count vectors are taken as one array (``_canonical_vectors``),
+    and the tuples are views of its rows.
     """
     if k < 1:
         raise ValueError("profile order k must be at least 1")
     if count < 1:
         raise ValueError("count must be at least 1")
-    stream = canonical_vector_stream(matrix.n, seed)
-    tuples = [tuple(next(stream) for _ in range(k)) for _ in range(count)]
-    measures = MeasureSet.from_arrays([_law_points(matrix, np.array(tuples))], matrix.p)
-    return ProfileSample(k, tuples, measures, seed, "sampled")
+    vectors = _canonical_vectors(matrix.n, seed, k * count).reshape(count, k, matrix.n)
+    measures = MeasureSet.from_arrays([_law_points(matrix, vectors)], matrix.p)
+    return ProfileSample(k, [tuple(group) for group in vectors], measures, seed, "sampled")
 
 
 def orbit_base_family(n: int, seed: int) -> list[np.ndarray]:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import matmeasure as mm
-from matmeasure.profiles import HALTON_BLOCK, canonical_vector_stream, halton_block
+from matmeasure.profiles import (HALTON_BLOCK, _canonical_vectors, canonical_vector_stream,
+                                 halton_block)
 from conftest import EXAMPLE_A
 
 # scipy.stats.qmc.Halton(d=13, scramble=False).random(32) (scipy 1.17.1), one
@@ -192,6 +193,34 @@ def test_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout.strip() == "[]"
+
+
+def sequential_stream(n, seed):
+    """The canonical stream vector by vector: one seeded draw of n values per
+    vector after the all-ones, basis and Halton rows."""
+    yield np.ones(n)
+    for i in range(n):
+        basis = np.zeros(n)
+        basis[i] = 1.0
+        yield basis
+    for row in halton_block(n):
+        yield 2.0 * row - 1.0
+    rng = np.random.default_rng(seed)
+    while True:
+        yield rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_stream_prefix_array_equals_the_sequential_stream(n):
+    # Counts inside the fixed prefix (ones, basis, Halton), at its end, and
+    # past it, where one bulk draw replaces the per-vector draws; the stream
+    # generator crosses its own doubling boundaries at these counts too.
+    fixed = 1 + n + HALTON_BLOCK
+    for seed in (0, 7):
+        for count in (1, n, fixed - 1, fixed, fixed + 1, 3 * fixed + 5):
+            reference = np.array([v for v, _ in zip(sequential_stream(n, seed), range(count))])
+            assert _canonical_vectors(n, seed, count).tobytes() == reference.tobytes()
+            assert np.array(_stream_prefix(n, seed, count)).tobytes() == reference.tobytes()
 
 
 def test_stream_stays_in_unit_box():

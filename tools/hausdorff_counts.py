@@ -18,7 +18,9 @@ and rebound in every ``matmeasure`` module that holds them, as
 ``capped_pairs`` counts those sent with a ``cap`` and ``cap_skipped`` those
 the cap left unevaluated (NaN).  ``skipped_pairs`` counts the distinct pairs
 an evaluator bounded but never evaluated, and each subset-kernel call is
-counted with its pairs.  A Hausdorff case holds these
+counted with its pairs; ``kernel_uniform_pairs`` counts the pairs of the
+kernel calls whose second-side weights are equal within every pair, the
+calls that sort their distances alone.  A Hausdorff case holds these
 counts and every Hausdorff value in call order as ``float.hex``; the
 ``reconstruct`` case holds the evaluator counts twice, for the minimum
 searches (``min_search``, inside ``min_pairwise_lp``) and for the isolation
@@ -90,7 +92,7 @@ class Counter:
     the minimum search and the Hausdorff entry."""
 
     COUNTS = ("lp_calls", "pairs", "capped_pairs", "cap_skipped", "bound_calls",
-              "bounded_pairs", "kernel_calls", "kernel_pairs")
+              "bounded_pairs", "kernel_calls", "kernel_pairs", "kernel_uniform_pairs")
 
     def __init__(self):
         self.scope = "other"
@@ -142,10 +144,12 @@ class Counter:
 
         return counted
 
-    def lp_subsets(self, dist, *args, **kwargs):
-        self.counts[self.scope]["kernel_calls"] += 1
-        self.counts[self.scope]["kernel_pairs"] += len(dist)
-        return self._lp_subsets(dist, *args, **kwargs)
+    def lp_subsets(self, dist, a, b, *args, **kwargs):
+        counts = self.counts[self.scope]
+        counts["kernel_calls"] += 1
+        counts["kernel_pairs"] += len(dist)
+        counts["kernel_uniform_pairs"] += len(dist) * bool((b == b[:, :1]).all())
+        return self._lp_subsets(dist, a, b, *args, **kwargs)
 
     def lp_feasible(self, *args, **kwargs):
         self.feasible_calls += 1
