@@ -10,7 +10,7 @@ family alone.
 """
 
 from .graph_props import (CycleHomCount, count_homomorphisms, detect_line_support,
-                          hom_cycle, hom_star, jacobi_eigh, row_sums_from_measure)
+                          hom_cycle, hom_star, row_sums_from_measure)
 from .matrices import (Graph, MeasuredMatrix, NormResult, adjacency,
                        complete_graph, cycle_graph, edgeless_graph,
                        generate_measure, kirchhoff, marginal_first,
@@ -63,7 +63,6 @@ __all__ = [
     "hom_cycle",
     "hom_star",
     "is_irreducible",
-    "jacobi_eigh",
     "kirchhoff",
     "lp_distance",
     "lp_feasible",

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import DIST_CSV_HEADER, dist_csv_row, fmt17, load_measured
-from .graph_props import hom_cycle, hom_star, jacobi_eigh, row_sums_from_measure
+from .graph_props import hom_cycle, hom_star, row_sums_from_measure
 from .matrices import MeasuredMatrix, norm_inf_to_1
 from .profiles import ActionDistance, SamplingConfig, hausdorff_terms, profile_sets
 from .reconstruction import MeasureOracle, reconstruct, switching_witness
@@ -133,7 +133,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 def _cmd_props(args: argparse.Namespace) -> int:
     matrix = load_measured(args.input, args.rep, args.weights, args.format)
     degrees = row_sums_from_measure(matrix)
-    spectrum, _ = jacobi_eigh(matrix.entries) if _is_symmetric(matrix) else (None, None)
+    spectrum, _ = np.linalg.eigh(matrix.entries) if _is_symmetric(matrix) else (None, None)
 
     lines = ["property,key,value"]
     for value, weight in degrees:

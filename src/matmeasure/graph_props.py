@@ -20,16 +20,6 @@ _HOM_PATTERN_LIMIT = 6
 _HOM_TARGET_LIMIT = 8
 
 
-def jacobi_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
-
-    Only the lower triangle is read.  Returns eigenvalues in ascending order
-    with eigenvectors as the matching columns.  A failed solve raises
-    ``numpy.linalg.LinAlgError``, a ``ValueError``.
-    """
-    return np.linalg.eigh(np.asarray(matrix, dtype=float))
-
-
 def detect_line_support(mu: WeightedPointMeasure, tol: float = 1e-8) -> Optional[float]:
     """Slope of the line y = lambda * x carrying the measure, if any.
 
@@ -84,7 +74,7 @@ class CycleHomCount(NamedTuple):
 def hom_cycle(matrix: MeasuredMatrix, k: int) -> CycleHomCount:
     """Homomorphism count of the k-cycle: sum of adjacency eigenvalues^k.
 
-    Eigenvalues come from ``jacobi_eigh`` (LAPACK).  ``rounded`` is filled
+    Eigenvalues come from LAPACK (``numpy.linalg.eigh``).  ``rounded`` is filled
     whenever the matrix entries are integral; ``raw`` always carries the
     float sum.
     """
@@ -93,7 +83,7 @@ def hom_cycle(matrix: MeasuredMatrix, k: int) -> CycleHomCount:
     a = matrix.entries
     if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
         raise ValueError("cycle homomorphism counts need a symmetric matrix")
-    eigenvalues, _ = jacobi_eigh(a)
+    eigenvalues, _ = np.linalg.eigh(a)
     raw = float(np.sum(eigenvalues ** k))
     integral = bool(np.all(np.abs(a - np.round(a)) <= 1e-12))
     return CycleHomCount(raw, int(round(raw)) if integral else None)

@@ -35,9 +35,9 @@ leaves NaN for the others, whose distance exceeds the cap: the Hausdorff
 search caps each candidate at its row's running minimum, and
 reconstruction's isolation check at its threshold.
 
-A ``MeasureSet`` holds its members' canonical keys stacked by atom count,
-and the evaluator reads those stacks, so a set made by ``from_arrays``
-builds its member objects only when a caller reads ``members``.
+A collection of measures has one form, the key table (``_stack_keys``) of
+its canonical keys stacked by atom count.  A ``MeasureSet`` is one, so a set
+made by ``from_arrays`` builds its member objects only when they are read.
 
 The tests cross-check both kernels and the bound against a brute-force
 oracle that evaluates the two defining inequalities directly over all unions
@@ -96,9 +96,10 @@ _CHUNK_CELLS = 1 << 13
 _BOUND_SLACK = 1e-9
 
 
-def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> Sequence[np.ndarray]:
-    """Checked canonical keys of measures ``points`` (P, m, d), ``weights`` (P, m):
-    the bits ``WeightedPointMeasure`` gives each row on its own."""
+def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> tuple:
+    """Checked canonical keys of measures ``points`` (P, m, d), ``weights`` (P, m),
+    as a key table (``_stack_keys``): the bits ``WeightedPointMeasure`` gives
+    each row on its own."""
     if points.shape[1] == 0:
         raise ValueError("a measure needs at least one atom")
     if points.shape[2] == 0:
@@ -115,8 +116,10 @@ def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> Sequence[np.ndar
                                order[..., None], axis=1)
     touching = (np.abs(np.diff(stack[..., :-1], axis=1)) <= ATOM_MERGE_TOL).all(axis=-1)
     merged = touching.any(axis=-1).nonzero()[0]
-    # Only rows with touching neighbours are merged; other keys are rows of the stack.
-    keys = list(stack) if len(merged) else stack
+    if not len(merged):  # the stack is the table's one stack
+        p, m = stack.shape[:2]
+        return np.full(p, m, dtype=np.intp), np.arange(p), {m: stack}
+    keys = list(stack)
     for p in merged:
         key, firsts = keys[p], [0]
         for r in range(1, len(key)):
@@ -125,20 +128,25 @@ def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> Sequence[np.ndar
             else:
                 firsts.append(r)
         keys[p] = key[firsts]
-    return keys
+    return _stack_keys(keys)
 
 
-def _dedup(keys: Sequence[np.ndarray], tol: float) -> list[int]:
-    """Positions, ascending, of the keys the greedy rule keeps: a key is dropped
-    iff an earlier kept key of its shape lies within ``tol`` componentwise.  Only
-    first bitwise copies are compared, one stack per key shape."""
-    first: dict[tuple, int] = {}
-    for i, key in enumerate(keys):
-        first.setdefault((key.shape, key.tobytes()), i)
-    kept = []
-    for shape in {shape for shape, _ in first}:
-        group = [i for (s, _), i in first.items() if s == shape]
-        flat = np.stack([keys[i] for i in group]).reshape(len(group), -1)
+def _dedup(table: tuple, tol: float) -> np.ndarray:
+    """Members, ascending, of a key table that the greedy rule keeps: a key is
+    dropped iff an earlier kept key of its atom count lies within ``tol``
+    componentwise.  Only the first of each run of equal keys in a stable sort
+    of a stack's rows is compared: the rule drops the copies after it too."""
+    counts, _, stacks = table
+    keep = np.zeros(len(counts), dtype=bool)
+    for m, keys in stacks.items():
+        if not len(keys):
+            continue
+        flat = keys.reshape(len(keys), -1)
+        order = np.lexsort(flat.T[::-1])
+        ordered, runs = flat[order], np.ones(len(order), dtype=bool)
+        runs[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        group = np.sort(order[runs])
+        flat = flat[group]
         # Only keys with projections on r within pad of each other are compared.
         # Sound: if fl|a_k - b_k| <= tol for all k (the test below), the exact
         # projections differ by at most 1.01 tol (r > 0 sums to at most 1 + L eps,
@@ -154,14 +162,14 @@ def _dedup(keys: Sequence[np.ndarray], tol: float) -> list[int]:
         hi = np.searchsorted(proj[ranks], proj + pad, side="right")
         if not np.isfinite(proj).all():
             lo[:], hi[:] = 0, len(group)
-        keep = np.ones(len(group), dtype=bool)
+        kept = np.ones(len(group), dtype=bool)
         # A key alone in its window is kept; the others go in insertion order.
         for g in np.flatnonzero(hi - lo > 1):
             near = ranks[lo[g]:hi[g]]
-            near = near[(near < g) & keep[near]]
-            keep[g] = not (np.abs(flat[near] - flat[g]) <= tol).all(axis=1).any()
-        kept += [group[g] for g in np.flatnonzero(keep)]
-    return sorted(kept)
+            near = near[(near < g) & kept[near]]
+            kept[g] = not (np.abs(flat[near] - flat[g]) <= tol).all(axis=1).any()
+        keep[np.flatnonzero(counts == m)[group[kept]]] = True
+    return np.flatnonzero(keep)
 
 
 class WeightedPointMeasure:
@@ -190,7 +198,8 @@ class WeightedPointMeasure:
         w = np.asarray(weights, dtype=float).ravel()
         if pts.ndim != 2 or pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights must have matching leading length")
-        self._set_key(_canonical_keys(pts[None], w[None])[0])
+        (keys,) = _canonical_keys(pts[None], w[None])[2].values()
+        self._set_key(keys[0])
 
     def _set_key(self, key: np.ndarray) -> "WeightedPointMeasure":
         """Take a canonical key (``_canonical_keys``) as this measure's atoms."""
@@ -266,32 +275,22 @@ class MeasureSet:
     No two members are equal under canonical-atom comparison at the
     construction tolerance (``SET_DEDUP_TOL`` by default).
 
-    A set holds its members' canonical keys stacked by atom count, in member
-    order (``_key_stacks``).  ``from_arrays`` keeps only these stacks, and
-    ``members`` builds the member objects from them on first read; a set
-    made from member objects stacks their keys on first need.  ``len``,
-    ``contains``, the pair evaluator and the Hausdorff and minimum searches
-    read the stacks, so they build no member.
+    A set is one key table (``_stack_keys``): its members' canonical keys
+    stacked by atom count, in member order.  ``members`` builds the member
+    objects from the table on first read, unless ``from_measures`` was
+    given them.  ``len``, ``contains``, the pair evaluator and the Hausdorff
+    and minimum searches read the table, so they build no member.
     """
 
-    __slots__ = ("dim", "_members", "_stacks")
+    __slots__ = ("dim", "_table", "_members")
 
-    def __init__(self, dim: int, members: tuple[WeightedPointMeasure, ...]):
-        self.dim = dim
-        self._members = tuple(members)
-        self._stacks = None
-
-    @classmethod
-    def _from_stacks(cls, dim: int, stacks: tuple) -> "MeasureSet":
-        """A set of the keys ``stacks`` (``_key_stacks``' triple) holds, as they are."""
-        out = cls.__new__(cls)
-        out.dim, out._members, out._stacks = dim, None, stacks
-        return out
+    def __init__(self, dim: int, table: tuple, members: tuple | None = None):
+        self.dim, self._table, self._members = dim, table, members
 
     @property
     def members(self) -> tuple[WeightedPointMeasure, ...]:
         if self._members is None:
-            counts, slot, stacks = self._stacks
+            counts, slot, stacks = self._table
             self._members = tuple(
                 WeightedPointMeasure.__new__(WeightedPointMeasure)._set_key(stacks[m][s])
                 for m, s in zip(counts.tolist(), slot.tolist()))
@@ -306,40 +305,40 @@ class MeasureSet:
         dim = measures[0].dim
         if any(mu.dim != dim for mu in measures):
             raise ValueError("all members of a measure set must share a dimension")
-        return cls(dim, tuple(measures[i] for i in _dedup([mu._key for mu in measures], tol)))
+        table = _stack_keys([mu._key for mu in measures])
+        kept = _dedup(table, tol)
+        return cls(dim, _take(table, kept), tuple(measures[i] for i in kept.tolist()))
 
     @classmethod
     def from_arrays(cls, stacks: Iterable, weights) -> "MeasureSet":
         """``from_measures`` over the rows of point stacks (P, m, d) with atom
         weights (m,), stack by stack, so memory follows the largest stack and
-        the kept keys.  The set holds the kept keys, and builds no member
-        object until ``members`` is read."""
-        weights, kept = np.asarray(weights, dtype=float), []
+        the kept keys.  The set builds no member object until ``members`` is
+        read."""
+        weights, dim, kept = np.asarray(weights, dtype=float), None, _stack_keys([])
         for points in stacks:
             points = np.asarray(points, dtype=float)
             if (points.ndim != 3 or weights.shape != points.shape[1:2]
-                    or kept and points.shape[2] != kept[0].shape[1] - 1):
+                    or dim not in (None, points.shape[2])):
                 raise ValueError("points must form (P, m, d) stacks of one d, weights (m,)")
-            keys = _canonical_keys(points, np.broadcast_to(weights, points.shape[:2]))
+            dim = points.shape[2]
             # Kept keys stay kept (none lies within tol of an earlier one), so
             # deduplicating them with the new keys is the greedy rule over all rows.
-            old, candidates = len(kept), [*kept, *keys] if kept else keys
-            new = [i - old for i in _dedup(candidates, SET_DEDUP_TOL)[old:]]
-            # Copies, so that the kept keys do not hold the whole stack.
-            kept += (list(keys[new]) if isinstance(keys, np.ndarray)
-                     else [keys[i].copy() for i in new])
-        if not kept:
+            table = _join(kept, _canonical_keys(
+                points, np.broadcast_to(weights, points.shape[:2])))
+            kept = _take(table, _dedup(table, SET_DEDUP_TOL))
+        if not len(kept[0]):
             raise ValueError("a measure set needs at least one measure")
-        return cls._from_stacks(kept[0].shape[1] - 1, _stack_keys(kept))
+        return cls(dim, kept)
 
     def contains(self, mu: WeightedPointMeasure, tol: float = SET_DEDUP_TOL) -> bool:
         if mu.dim != self.dim:
             raise ValueError(f"dimension mismatch: {mu.dim} vs {self.dim}")
-        keys = _key_stacks(self)[2].get(mu.atom_count)
+        keys = self._table[2].get(mu.atom_count)
         return keys is not None and bool((np.abs(keys - mu._key) <= tol).all(axis=(1, 2)).any())
 
     def __len__(self) -> int:
-        return len(self._members) if self._stacks is None else len(self._stacks[0])
+        return len(self._table[0])
 
     def __iter__(self):
         return iter(self.members)
@@ -564,10 +563,10 @@ def lp_distance(mu: WeightedPointMeasure, nu: WeightedPointMeasure,
 
 
 def _stack_keys(keys: Sequence[np.ndarray]) -> tuple:
-    """Canonical keys stacked by atom count: ``counts`` (N,) holds each key's
-    atom count, ``stacks[m]`` (k_m, m, d + 1) the keys with m atoms in the
-    given order, read-only, and ``slot`` (N,) each key's row in its stack.  A
-    key holds its points, and its weights in the last column."""
+    """The key table of canonical keys: ``counts`` (N,) holds each key's atom
+    count, ``stacks[m]`` (k_m, m, d + 1) the keys with m atoms in the given
+    order, read-only, and ``slot`` (N,) each key's row in its stack.  A key
+    holds its points, and its weights in the last column."""
     counts = np.array([len(key) for key in keys], dtype=np.intp)
     slot = np.empty(len(keys), dtype=np.intp)
     stacks = {}
@@ -579,31 +578,40 @@ def _stack_keys(keys: Sequence[np.ndarray]) -> tuple:
     return counts, slot, stacks
 
 
+def _take(table: tuple, rows: np.ndarray) -> tuple:
+    """The key table of the members ``rows`` (ascending) of ``table``, made
+    read-only.  A stack that loses rows is copied, so that it does not hold
+    the whole stack."""
+    counts, slot, stacks = table
+    counts, slot, taken = counts[rows], slot[rows], {}
+    for m, keys in stacks.items():
+        group = np.flatnonzero(counts == m)
+        if len(group):
+            taken[m] = keys if len(group) == len(keys) else keys[slot[group]]
+            taken[m].setflags(write=False)
+            slot[group] = np.arange(len(group))
+    return counts, slot, taken
+
+
+def _join(x: tuple, y: tuple) -> tuple:
+    """The members of key table ``x`` and then of ``y``, not deduplicated, as
+    one table whose stacks join the two tables' stacks of each atom count."""
+    (cx, sx, kx), (cy, sy, ky) = x, y
+    sy, stacks = sy.copy(), {**kx, **ky}
+    for m in kx.keys() & ky.keys():
+        sy[cy == m] += len(kx[m])
+        stacks[m] = np.concatenate((kx[m], ky[m]))
+    return np.concatenate((cx, cy)), np.concatenate((sx, sy)), stacks
+
+
 def _key_stacks(members) -> tuple:
-    """``_stack_keys`` of the members of a ``MeasureSet``, which the set holds,
-    or of a sequence of measures."""
+    """The key table of a ``MeasureSet``, which the set holds, or of a
+    sequence of measures."""
     if isinstance(members, MeasureSet):
-        if members._stacks is None:
-            members._stacks = _stack_keys([mu._key for mu in members._members])
-        return members._stacks
+        return members._table
     if len(dims := {mu.dim for mu in members}) > 1:
         raise ValueError(f"measures must share a dimension; found {sorted(dims)}")
     return _stack_keys([mu._key for mu in members])
-
-
-def _joined(x: MeasureSet, y: MeasureSet) -> MeasureSet:
-    """The members of ``x`` and then of ``y``, not deduplicated, as one set
-    whose stacks join the two sets' stacks of each atom count."""
-    if x.dim != y.dim:
-        raise ValueError(f"measures must share a dimension; found {sorted({x.dim, y.dim})}")
-    (cx, sx, kx), (cy, sy, ky) = _key_stacks(x), _key_stacks(y)
-    sy = sy.copy()
-    for m in kx.keys() & ky.keys():
-        sy[cy == m] += len(kx[m])
-    stacks = {m: np.concatenate([s[m] for s in (kx, ky) if m in s])
-              for m in kx.keys() | ky.keys()}
-    joined = np.concatenate((cx, cy)), np.concatenate((sx, sy)), stacks
-    return MeasureSet._from_stacks(x.dim, joined)
 
 
 def _canonical_rank(counts: np.ndarray, slot: np.ndarray, stacks: dict) -> np.ndarray:
@@ -646,8 +654,8 @@ def _pair_lp(members, metric: str):
     of the pairs' coordinate differences, and a capped chunk hands its
     surviving pairs, with their distances, to the kernels.
 
-    The evaluator reads only the members' key stacks (``_key_stacks``),
-    which a set holds: it re-stacks no key of a set, and builds no member.
+    The evaluator reads only the members' key table (``_key_stacks``),
+    which a set is: it re-stacks no key of a set, and builds no member.
     """
     # Checked up front: equal pairs are at distance 0 under any metric, so
     # without it a misspelt metric would pass unnoticed on equal inputs.
@@ -861,7 +869,9 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
     """
     if len(x) == 0 or len(y) == 0:
         raise ValueError("Hausdorff distance needs nonempty measure sets")
-    members = _joined(x, y)
+    if x.dim != y.dim:
+        raise ValueError(f"measures must share a dimension; found {sorted({x.dim, y.dim})}")
+    members = MeasureSet(x.dim, _join(x._table, y._table))
     counts, _, stacks = _key_stacks(members)
     lp = _pair_lp(members, metric)
     sketch = _quantile_sketch(counts, stacks)

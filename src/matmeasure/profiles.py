@@ -21,7 +21,7 @@ needs both, or all pairs of a corpus, builds each profile and term once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,14 +74,15 @@ class SamplingConfig:
 class ProfileSample:
     """A finite stand-in for a k-profile.
 
-    ``base_vectors`` holds the test-vector tuples (k vectors each, entries in
-    [-1, 1]); ``measures`` the deduplicated laws on R^(2k).  In exact-orbit
-    mode the measures are closed under index permutations and ``seed`` is
-    None (the base family is supplied by the caller).
+    ``base_vectors`` (count, k, n) holds the test-vector tuples, k vectors
+    each with entries in [-1, 1]; ``measures`` the deduplicated laws on
+    R^(2k).  In exact-orbit mode the measures are closed under index
+    permutations and ``seed`` is None (the base family is supplied by the
+    caller).
     """
 
     k: int
-    base_vectors: list[tuple[np.ndarray, ...]]
+    base_vectors: np.ndarray
     measures: MeasureSet
     seed: int | None
     mode: str
@@ -118,28 +119,14 @@ def halton_block(n: int, count: int = HALTON_BLOCK) -> np.ndarray:
 
 
 def _canonical_vectors(n: int, seed: int, count: int) -> np.ndarray:
-    """The first ``count`` vectors of the canonical test-vector stream, as
-    rows (count, n): the all-ones vector, the n basis vectors and
-    ``2 * halton_block(n) - 1``, then one ``uniform(-1, 1, (rest, n))`` draw
-    of ``default_rng(seed)``, which equals ``rest`` draws of n values in
-    turn, bit for bit."""
+    """The first ``count`` vectors of the deterministic test-vector stream in
+    [-1, 1]^n, as rows (count, n): the all-ones vector (row-sum witness),
+    the n basis vectors and ``2 * halton_block(n) - 1``, then one
+    ``uniform(-1, 1, (rest, n))`` draw of ``default_rng(seed)``, which
+    equals ``rest`` draws of n values in turn, bit for bit."""
     fixed = np.concatenate((np.ones((1, n)), np.eye(n), 2.0 * halton_block(n) - 1.0))
     drawn = np.random.default_rng(seed).uniform(-1.0, 1.0, (max(0, count - len(fixed)), n))
     return np.concatenate((fixed[:count], drawn))
-
-
-def canonical_vector_stream(n: int, seed: int) -> Iterator[np.ndarray]:
-    """Deterministic test-vector stream in [-1, 1]^n.
-
-    Order: the all-ones vector (row-sum witness), the canonical basis
-    vectors, a fixed low-discrepancy block, then seeded uniform draws.  It
-    yields the rows of ``_canonical_vectors``, taken in prefixes of doubling
-    length, so that the stream has one definition.
-    """
-    done, count = 0, n + 1 + HALTON_BLOCK
-    while True:
-        yield from _canonical_vectors(n, seed, count)[done:]
-        done, count = count, 2 * count
 
 
 def tuple_law(matrix: MeasuredMatrix, vectors: Sequence[np.ndarray]) -> WeightedPointMeasure:
@@ -158,7 +145,7 @@ def sample_profile(matrix: MeasuredMatrix, k: int, count: int, seed: int) -> Pro
     Deterministic given (n, k, count, seed).  Tuples are consecutive groups
     of k stream vectors, so the k = 1 family is the stream prefix itself.
     The k * count vectors are taken as one array (``_canonical_vectors``),
-    and the tuples are views of its rows.
+    which is ``base_vectors``.
     """
     if k < 1:
         raise ValueError("profile order k must be at least 1")
@@ -166,7 +153,7 @@ def sample_profile(matrix: MeasuredMatrix, k: int, count: int, seed: int) -> Pro
         raise ValueError("count must be at least 1")
     vectors = _canonical_vectors(matrix.n, seed, k * count).reshape(count, k, matrix.n)
     measures = MeasureSet.from_arrays([_law_points(matrix, vectors)], matrix.p)
-    return ProfileSample(k, [tuple(group) for group in vectors], measures, seed, "sampled")
+    return ProfileSample(k, vectors, measures, seed, "sampled")
 
 
 def orbit_base_family(n: int, seed: int) -> list[np.ndarray]:
@@ -210,12 +197,13 @@ def exact_orbit_profile(matrix: MeasuredMatrix,
     normalized = [np.sort(np.asarray(v, dtype=float).ravel()) for v in base_vectors]
     if any(v.shape[0] != matrix.n for v in normalized):
         raise ValueError("base vector length must equal the matrix order")
+    normalized = np.array(normalized).reshape(-1, 1, matrix.n)
     sigmas = permutations_preserving(matrix.p)
     step = max(1, _ORBIT_STACK_ROWS // len(sigmas))
-    stacks = (np.array(normalized[s:s + step])[:, sigmas].reshape(-1, 1, matrix.n)
+    stacks = (normalized[s:s + step, 0][:, sigmas].reshape(-1, 1, matrix.n)
               for s in range(0, len(normalized), step))
     measures = MeasureSet.from_arrays((_law_points(matrix, v) for v in stacks), matrix.p)
-    return ProfileSample(1, [(v,) for v in normalized], measures, None, "exact_orbit")
+    return ProfileSample(1, normalized, measures, None, "exact_orbit")
 
 
 def profile_sets(matrix: MeasuredMatrix, cfg: SamplingConfig = SamplingConfig(),

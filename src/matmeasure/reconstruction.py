@@ -19,8 +19,9 @@ procedure implemented here makes that constructive:
 Steps 1 and 2 each live in one place, ``_best_vector`` and ``_epsilon``;
 ``reconstruct`` feeds them oracle answers, while ``max_orbit_vector`` and
 ``choose_epsilon`` run them on a known matrix.  All information flows
-through a ``MeasureOracle`` that answers only with ordered supports (views
-of the orbit measures) and orbit sizes, never with the hidden matrix itself.
+through a ``MeasureOracle`` that answers only with orbit sizes and orbit
+measure sets, whose keys are the ordered supports (``_support``), never with
+the hidden matrix itself.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .matrices import MeasuredMatrix, norm_inf_to_1, orbit_measures, perturb
-from .measures import MASS_SLACK, WeightedPointMeasure, _key_stacks, _pair_lp, min_pairwise_lp
+from .measures import (MASS_SLACK, MeasureSet, WeightedPointMeasure, _join, _key_stacks,
+                       _pair_lp, _take, min_pairwise_lp)
 
 KERNEL_RESIDUAL_TOL = 1e-9
 IRREDUCIBLE_LIMIT = 6
@@ -282,7 +284,7 @@ def choose_epsilon(matrix: MeasuredMatrix, v, norm_bound: float | None = None,
 class MeasureOracle:
     """Query interface over the measure family of a hidden matrix.
 
-    Callers see orbit sizes and ordered supports for vectors of their
+    Callers see orbit sizes and orbit measure sets for vectors of their
     choosing, plus a disclosed bound on the hidden (inf -> 1) norm; the
     matrix itself never crosses the interface.  Queries are answered
     serially and logged in order.
@@ -319,9 +321,9 @@ class MeasureOracle:
         self._log.append(("orbit_size", x.copy()))
         return len(orbit_measures(self._matrix, x))
 
-    def orbit_supports(self, x) -> tuple[OrderedSupport, ...]:
-        """Ordered supports of every measure in the orbit of ``x``.  The orbit's
-        measures are planar, and a tie among first coordinates raises what
+    def orbit_supports(self, x) -> MeasureSet:
+        """The orbit of ``x`` as its measure set, whose keys are the members'
+        ordered supports: a tie among first coordinates raises what
         ``ordered_support`` raises, found by one check per key stack."""
         x = np.asarray(x, dtype=float).ravel()
         self._log.append(("orbit_supports", x.copy()))
@@ -329,7 +331,7 @@ class MeasureOracle:
         for keys in _key_stacks(orbit)[2].values():
             if (np.diff(keys[..., 0], axis=1) <= 0.0).any():
                 raise DegenerateSupportError("tied first coordinates; support not unique")
-        return tuple(OrderedSupport(mu) for mu in orbit.members)
+        return orbit
 
 
 def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
@@ -356,20 +358,19 @@ def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
     for _ in range(8):  # fresh test vector on degenerate draws
         v = _best_vector(oracle, rng, trials)
         try:
-            supports = oracle.orbit_supports(v)
+            orbit = oracle.orbit_supports(v)
         except DegenerateSupportError:
             continue
-        base = supports[0]
 
         order = np.argsort(v)
-        if not np.array_equal(base.xs, v[order]):
+        if not np.array_equal(_support(orbit, 0)[:, 0], v[order]):
             continue  # non-generic draw; first components must be sorted v
 
-        eps = _epsilon(v, [s.measure for s in supports], k_bound)
+        eps = _epsilon(v, orbit, k_bound)
         for _ in range(max_halvings + 1):
             if eps * eps / (64.0 * k_bound) < _MIN_SHIFT:
                 break
-            recovered = _recover_columns(oracle, v, order, base, eps, k_bound)
+            recovered = _recover_columns(oracle, v, order, orbit, eps, k_bound)
             if recovered is not None:
                 return recovered
             eps /= 2.0
@@ -378,22 +379,31 @@ def reconstruct(oracle: MeasureOracle, norm_bound: float | None = None,
                               "isolation conditions for any sampled test vector")
 
 
-def _near(base: WeightedPointMeasure, members: Sequence[WeightedPointMeasure],
-          eps: float) -> np.ndarray:
-    """Positions of the ``members`` that ``lp_feasible(base, member, eps)``
-    accepts, for the whole orbit in one batch.  Members are capped at the
-    threshold eps + MASS_SLACK: one whose lower bound exceeds it by
-    ``_BOUND_SLACK`` is not evaluated, and its NaN compares false."""
-    lp = _pair_lp([base, *members], "euclidean")
+def _support(orbit: MeasureSet, i: int) -> np.ndarray:
+    """The canonical key of member ``i`` of an ``orbit_supports`` answer: its
+    ordered support, rows (x, y, weight)."""
+    counts, slot, stacks = _key_stacks(orbit)
+    return stacks[counts[i]][slot[i]]
+
+
+def _near(base: MeasureSet, probe: MeasureSet, eps: float) -> np.ndarray:
+    """Positions of the ``probe`` members that ``lp_feasible(mu, member, eps)``
+    accepts, mu the first member of ``base``, in one batch on mu's key joined
+    with ``probe``'s table.  Members are capped at the threshold eps +
+    MASS_SLACK: one whose lower bound exceeds it by ``_BOUND_SLACK`` is not
+    evaluated, and its NaN compares false."""
+    first = _take(_key_stacks(base), np.zeros(1, dtype=np.intp))
+    lp = _pair_lp(MeasureSet(base.dim, _join(first, _key_stacks(probe))), "euclidean")
     threshold = eps + MASS_SLACK
-    others = np.arange(1, len(members) + 1)
+    others = np.arange(1, len(probe) + 1)
     return others[lp(0, others, cap=threshold) <= threshold] - 1
 
 
 def _recover_columns(oracle: MeasureOracle, v: np.ndarray, order: np.ndarray,
-                     base: OrderedSupport, eps: float, k_bound: float) -> Optional[np.ndarray]:
+                     orbit: MeasureSet, eps: float, k_bound: float) -> Optional[np.ndarray]:
     n = len(v)
     shift = eps * eps / (64.0 * k_bound)
+    base = _support(orbit, 0)
     result = np.empty((n, n))
     for i in range(n):
         j = int(order[i])  # perturbing v at j moves sorted position i
@@ -402,13 +412,13 @@ def _recover_columns(oracle: MeasureOracle, v: np.ndarray, order: np.ndarray,
             supports = oracle.orbit_supports(probe)
         except DegenerateSupportError:
             return None
-        near = _near(base.measure, [s.measure for s in supports], eps / 4)
+        near = _near(orbit, supports, eps / 4)
         if len(near) != 1:
             return None
-        partner = supports[near[0]]
-        expected_xs = base.xs.copy()
+        partner = _support(supports, near[0])
+        expected_xs = base[:, 0].copy()
         expected_xs[i] += shift
-        if not np.allclose(partner.xs, expected_xs, atol=shift * 1e-6 + 1e-12):
+        if not np.allclose(partner[:, 0], expected_xs, atol=shift * 1e-6 + 1e-12):
             return None
-        result[:, i] = (partner.ys - base.ys) / shift
+        result[:, i] = (partner[:, 1] - base[:, 1]) / shift
     return result

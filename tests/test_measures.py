@@ -6,8 +6,9 @@ import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (_BOUND_SLACK, MASS_SLACK, METRICS, SET_DEDUP_TOL,
                                  SUBSET_KERNEL_MAX_ATOMS, _canonical_rank, _dedup, _far_pairs,
-                                 _joined, _key_stacks, _lp_breakpoints, _lp_lower_bound,
-                                 _lp_subsets, _pair_lp, _point_distances, _quantile_sketch)
+                                 _join, _key_stacks, _lp_breakpoints, _lp_lower_bound,
+                                 _lp_subsets, _pair_lp, _point_distances, _quantile_sketch,
+                                 _stack_keys)
 from conftest import (dedup_reference, far_mass_pair, four_vertex_classes, hausdorff_reference,
                       lower_bound_reference, lp_oracle, lp_reference, measure_set_reference,
                       random_measure, random_weights)
@@ -752,7 +753,7 @@ def test_hausdorff_equals_the_reference_where_members_share_a_quantile_sketch(se
             for xs, ys in (families[2 * f:2 * f + 2] for f in picks))
 
     x, y = members(), members()
-    counts, _, stacks = _key_stacks(_joined(x, y))
+    counts, _, stacks = _join(_key_stacks(x), _key_stacks(y))
     sketch = _quantile_sketch(counts, stacks)
     assert len({row.tobytes() for row in sketch}) <= 2 < len(x) + len(y) - 8
     assert pruned_equals_reference(x, y, metric) == mm.hausdorff_distance(y, x, metric)
@@ -1166,7 +1167,21 @@ EDGE_VALUES = [0.0, TOL, -TOL, 2 * TOL, float(np.nextafter(TOL, 1.0)), 0.5 * TOL
 def test_windowed_dedup_matches_the_greedy_reference(rows):
     # Bitwise repeats come from the small value pool; keys of one or two atoms.
     keys = [np.array(values[:3 * m]).reshape(m, 3) for m, values in rows]
-    assert _dedup(keys, TOL) == dedup_reference(keys, TOL)
+    assert _dedup(_stack_keys(keys), TOL).tolist() == dedup_reference(keys, TOL)
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.lists(st.sampled_from(EDGE_VALUES + [-0.0]),
+                                                      min_size=9, max_size=9)),
+                min_size=1, max_size=40), st.integers(0, 40))
+@example([(1, [0.0] * 9), (2, [0.0] * 9), (1, [-0.0] * 9), (2, [-0.0, 0.0] * 4 + [0.0])], 1)
+@settings(max_examples=300, deadline=None)
+def test_dedup_of_joined_tables_matches_the_greedy_reference(rows, cut):
+    # Keys of one to three atoms in one table, 0.0 and -0.0 (equal values,
+    # other bits), the greedy rule across two joined tables, an empty stack.
+    keys = [np.array(values[:3 * m]).reshape(m, 3) for m, values in rows]
+    table = _join(_stack_keys(keys[:cut]), _stack_keys(keys[cut:]))
+    table[2][4] = np.empty((0, 4, 3))
+    assert _dedup(table, TOL).tolist() == dedup_reference(keys, TOL)
 
 
 @pytest.mark.parametrize("base", [0.0, BIG])
@@ -1176,7 +1191,7 @@ def test_windowed_dedup_chains_keep_by_insertion_order(base):
     a, b, c = (np.array([[base + i * step, 1.0]]) for i in range(3))
     for keys, kept in (([a, b, c], [0, 2]), ([b, a, c], [0]), ([c, b, a], [0, 2]),
                        ([a, c, b], [0, 1]), ([b, b, a, c], [0])):
-        assert _dedup(keys, TOL) == dedup_reference(keys, TOL) == kept
+        assert _dedup(_stack_keys(keys), TOL).tolist() == dedup_reference(keys, TOL) == kept
 
 
 def test_windowed_dedup_window_covers_projection_rounding():
@@ -1185,7 +1200,8 @@ def test_windowed_dedup_window_covers_projection_rounding():
     rng = np.random.default_rng(3)
     firsts = BIG + rng.integers(-1000, 1000, (200, 2, 3)) * np.spacing(BIG)
     keys = [key for a in firsts for key in (a, a + 8 * np.spacing(BIG))]
-    assert _dedup(keys, TOL) == dedup_reference(keys, TOL) == list(range(0, 400, 2))
+    assert (_dedup(_stack_keys(keys), TOL).tolist() == dedup_reference(keys, TOL)
+            == list(range(0, 400, 2)))
 
 
 def test_windowed_dedup_with_overflowing_projections():
@@ -1196,7 +1212,7 @@ def test_windowed_dedup_with_overflowing_projections():
     below[1, 2], negated[0, 0] = np.nextafter(top, 0.0), -top
     keys = [np.full((2, 3), top), below, np.full((2, 3), top), negated]
     with np.errstate(over="ignore"):
-        assert _dedup(keys, TOL) == dedup_reference(keys, TOL) == [0, 1, 3]
+        assert _dedup(_stack_keys(keys), TOL).tolist() == dedup_reference(keys, TOL) == [0, 1, 3]
 
 
 def _same_members(built, expected) -> bool:
@@ -1272,7 +1288,7 @@ def test_canonical_rank_is_the_atom_count_then_key_bytes_order():
     assert np.array_equal(_canonical_rank(*_key_stacks(members)), reference(members))
     x = mm.MeasureSet.from_arrays([rng.integers(-1, 2, (30, 3, 2)) / 2.0], np.full(3, 1 / 3))
     y = mm.MeasureSet.from_measures(members)
-    joined = _key_stacks(_joined(x, y))
+    joined = _join(_key_stacks(x), _key_stacks(y))
     listed = _key_stacks(list(x) + list(y))
     assert all(np.array_equal(u, v) for u, v in zip(joined[:2], listed[:2]))
     assert joined[2].keys() == listed[2].keys()

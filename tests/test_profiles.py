@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import matmeasure as mm
-from matmeasure.profiles import (HALTON_BLOCK, _canonical_vectors, canonical_vector_stream,
-                                 halton_block)
+from matmeasure.profiles import HALTON_BLOCK, _canonical_vectors, halton_block
 from conftest import EXAMPLE_A
 
 # scipy.stats.qmc.Halton(d=13, scramble=False).random(32) (scipy 1.17.1), one
@@ -162,8 +161,7 @@ SCIPY_HALTON_COLUMNS = (
 
 
 def _stream_prefix(n, seed, count):
-    stream = canonical_vector_stream(n, seed)
-    return [next(stream) for _ in range(count)]
+    return list(_canonical_vectors(n, seed, count))
 
 
 def test_stream_starts_with_ones_then_basis():

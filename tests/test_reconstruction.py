@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import matmeasure as mm
-from matmeasure.measures import MASS_SLACK, METRICS, _pair_lp
+from matmeasure.measures import MASS_SLACK, METRICS, _key_stacks, _pair_lp
 from matmeasure.reconstruction import DegenerateSupportError, _near
 from conftest import (EXAMPLE_A, EXAMPLE_B, far_mass_pair, four_vertex_classes, lp_reference,
                       random_measure, random_weights)
@@ -245,15 +245,16 @@ def test_pruned_near_sets_equal_the_unpruned_ones(n, entries, seed):
     matrix = mm.MeasuredMatrix(pinned_hidden_matrix(n, entries, seed))
     v = mm.max_orbit_vector(matrix, trials=4, rng_seed=seed)
     k = max(1.0, mm.norm_inf_to_1(matrix).value)
-    base = mm.orbit_measures(matrix, v).members[0]
+    orbit = mm.orbit_measures(matrix, v)
+    base = orbit.members[0]
     eps0 = mm.choose_epsilon(matrix, v)
     for j in range(n):
-        probe = list(mm.orbit_measures(matrix, mm.perturb(v, j, eps0, k)))
+        probe = mm.orbit_measures(matrix, mm.perturb(v, j, eps0, k))
         values = sorted(lp_reference(base, mu) for mu in probe)
         for eps in (eps0, 4.0 * values[1], 4.0 * values[len(values) // 2], 4.0 * values[-1]):
             near = [i for i, mu in enumerate(probe)
                     if lp_reference(base, mu) <= eps / 4 + MASS_SLACK]
-            assert _near(base, probe, eps / 4).tolist() == near
+            assert _near(orbit, probe, eps / 4).tolist() == near
 
 
 def test_near_keeps_a_member_whose_bound_rounds_above_the_threshold():
@@ -264,7 +265,8 @@ def test_near_keeps_a_member_whose_bound_rounds_above_the_threshold():
     while eps + MASS_SLACK != value:
         eps = float(np.nextafter(eps, 1.0 if eps + MASS_SLACK < value else 0.0))
     assert _pair_lp([mu, nu], "euclidean")(0, [1], bound=True)[0] > eps + MASS_SLACK
-    assert _near(mu, [nu, mm.dirac([9.0, 9.0])], eps).tolist() == [0]
+    assert _near(mm.MeasureSet.from_measures([mu]),
+                 mm.MeasureSet.from_measures([nu, mm.dirac([9.0, 9.0])]), eps).tolist() == [0]
 
 
 def test_min_pairwise_lp_small_collections():
@@ -314,7 +316,7 @@ def test_oracle_logs_queries_and_matches_direct_computation():
     assert oracle.orbit_size(v) == 3
     supports = oracle.orbit_supports(v)
     direct = {mu.points.tobytes() for mu in mm.orbit_measures(m, v)}
-    via_oracle = {s.measure.points.tobytes() for s in supports}
+    via_oracle = {mu.points.tobytes() for mu in supports}
     assert direct == via_oracle
     assert oracle.query_count == 2
     kinds = [kind for kind, _ in oracle.query_log]
@@ -340,6 +342,43 @@ def test_orbit_size_counts_the_members_without_building_them(monkeypatch):
         monkeypatch.undo()
         assert not built
         assert size == len(mm.orbit_measures(matrix, v).members)
+
+
+def test_orbit_supports_keys_are_the_members_ordered_supports():
+    # Every key row is (x, y, weight), bit for bit what ordered_support reads
+    # off the member object: a generic orbit, one that the cycle's
+    # automorphisms collapse, and one of a Gaussian matrix.
+    rng = np.random.default_rng(71)
+    cases = [(mm.MeasuredMatrix(EXAMPLE_A), [3.0, 1.0, 2.0]),
+             (mm.adjacency(mm.cycle_graph(5)), [0.1, 0.5, 0.2, 0.9, 0.3]),
+             (mm.MeasuredMatrix(rng.normal(size=(4, 4))), rng.uniform(-1.0, 1.0, 4))]
+    for matrix, x in cases:
+        orbit = mm.MeasureOracle(matrix).orbit_supports(x)
+        counts, slot, stacks = _key_stacks(orbit)
+        for i, mu in enumerate(orbit):
+            key, support = stacks[counts[i]][slot[i]], mm.ordered_support(mu)
+            for column, values in zip(key.T, (support.xs, support.ys, support.weights)):
+                assert column.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("entries", ["binary", "gaussian"])
+def test_reconstruct_builds_no_measure_object(monkeypatch, entries):
+    # Oracle answers, the epsilon search and the isolation checks all read
+    # the orbits' key tables.
+    built = []
+    set_key = mm.WeightedPointMeasure._set_key
+
+    def counted(mu, key):
+        built.append(key)
+        return set_key(mu, key)
+
+    hidden = pinned_hidden_matrix(5, entries, 1)
+    oracle = mm.MeasureOracle(mm.MeasuredMatrix(hidden))
+    monkeypatch.setattr(mm.WeightedPointMeasure, "_set_key", counted)
+    recovered = mm.reconstruct(oracle, rng_seed=1)
+    monkeypatch.undo()
+    assert not built
+    assert mm.switching_witness(recovered, hidden) is not None
 
 
 def test_orbit_supports_raises_on_tied_first_coordinates_after_logging_the_query():

@@ -1,8 +1,15 @@
 """Deterministic work counts of the pair evaluator, as one JSON line.
 
-Usage, from the root of a checkout:
+Usage:
 
-    python3 tools/hausdorff_counts.py
+    python3 tools/hausdorff_counts.py [CHECKOUT] [build | lp]
+
+``CHECKOUT`` defaults to the current directory; its ``src/`` and ``bench/``
+are imported and nothing is written there.  The script refuses to run when
+``matmeasure`` is imported from elsewhere, so both sides of a change are
+counted from one tree:
+
+    diff <(python3 tools/hausdorff_counts.py ../parent) <(python3 tools/hausdorff_counts.py .)
 
 Runs the seed-1 ``dist`` ops of the ``dist-small`` and ``orbit-census``
 benchmark workloads (``bench/workloads.py``), two exact-orbit order-6 pairs
@@ -68,14 +75,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path.cwd()
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-import numpy as np  # noqa: E402
-
-import matmeasure as mm  # noqa: E402
-from matmeasure import cli, measures  # noqa: E402
-import workloads  # noqa: E402
+import numpy as np
 
 SEED = 1
 ORBIT_SEED = 17
@@ -329,11 +329,29 @@ def reconstruct_case(counter: Counter) -> dict:
     return out
 
 
+def load(root: Path) -> None:
+    """Import ``matmeasure`` and the workloads of checkout ``root`` as this
+    module's ``mm``, ``cli``, ``measures`` and ``workloads``."""
+    global mm, cli, measures, workloads
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import matmeasure as mm
+    from matmeasure import cli, measures
+
+    if not Path(mm.__file__).resolve().is_relative_to(root / "src"):
+        sys.exit(f"error: matmeasure was imported from {mm.__file__}, not {root / 'src'}")
+    import workloads
+
+
 def main() -> None:
-    if sys.argv[1:] == ["build"]:
+    args = sys.argv[1:]
+    case = args.pop() if args and args[-1] in ("build", "lp") else None
+    if len(args) > 1:
+        sys.exit("usage: hausdorff_counts.py [CHECKOUT] [build | lp]")
+    load(Path(args[0] if args else ".").resolve())
+    if case == "build":
         print(json.dumps({"build": build_case()}))
         return
-    if sys.argv[1:] == ["lp"]:
+    if case == "lp":
         print(json.dumps({"lp": lp_case()}))
         return
     lp = lp_case()
