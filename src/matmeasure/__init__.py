@@ -23,7 +23,7 @@ from .measures import (MeasureSet, WeightedPointMeasure, dirac,
 from .profiles import (ActionDistance, ProfileSample, SamplingConfig,
                        action_distance, exact_orbit_profile, hausdorff_terms,
                        one_profile_distance, orbit_base_family, profile_sets,
-                       sample_profile, tuple_law)
+                       sample_profile)
 from .reconstruction import (DegenerateSupportError, MeasureOracle,
                              OrderedSupport, ReconstructionError, choose_epsilon,
                              find_irreducible_vector, is_irreducible,
@@ -87,5 +87,4 @@ __all__ = [
     "sample_profile",
     "star_graph",
     "switching_witness",
-    "tuple_law",
 ]

@@ -5,10 +5,14 @@ probability vector p over its indices.  Acting on a vector x it generates
 the planar measure with atoms (x_i, (Ax)_i) weighted by p_i; collecting the
 measures of every weight-preserving permutation of x gives the finite orbit
 set that the profile metrics and the reconstruction procedure consume.
+
+Sets are built without a loop over their rows: permutations come from one
+table per order, and all A z of a set are one stacked product (``_law_points``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -85,21 +89,32 @@ def marginal_first(matrix: MeasuredMatrix, x) -> WeightedPointMeasure:
 
 def _law_points(matrix: MeasuredMatrix, vectors) -> np.ndarray:
     """Atoms (P, n, 2k) of the laws of (Z_1, A Z_1, ..., Z_k, A Z_k) for vector
-    tuples ``vectors`` (P, k, n).  Each A z is one ``A @ z`` on a contiguous row,
-    the bits of ``generate_measure``; a batched product need not round alike."""
+    tuples ``vectors`` (P, k, n).  One product over stacked (n, 1) columns runs
+    the BLAS kernel of ``A @ z`` on each: the bits of ``generate_measure``, which
+    a product over the whole block (``Z @ A.T``) need not give."""
     vectors = np.ascontiguousarray(vectors, dtype=float)
     p, k, n = vectors.shape
-    images = np.empty_like(vectors)
-    for z, out in zip(vectors.reshape(-1, n), images.reshape(-1, n)):
-        np.matmul(matrix.entries, z, out=out)
+    images = np.matmul(matrix.entries, vectors[..., None])[..., 0]
     return np.stack((vectors, images), axis=2).reshape(p, 2 * k, n).swapaxes(1, 2)
+
+
+@functools.cache
+def _permutations(n: int) -> np.ndarray:
+    """All n! permutations of range(n), as the read-only rows of an (n!, n)
+    array in lexicographic order, built once per order and process."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms.setflags(write=False)
+    return perms
 
 
 def permutations_preserving(p: np.ndarray) -> np.ndarray:
     """All index permutations sigma with p[sigma] == p componentwise, as the
-    rows of a (k, n) array in lexicographic order; sigma acts as (Px)_i = x_{sigma(i)}."""
-    perms = np.array(list(itertools.permutations(range(len(p)))), dtype=np.intp)
-    return perms[(np.abs(p[perms] - p) <= PROB_TOL).all(axis=1)]
+    read-only rows of a (k, n) array in lexicographic order, filtered from the
+    order's table (``_permutations``); sigma acts as (Px)_i = x_{sigma(i)}."""
+    perms = _permutations(len(p))
+    perms = perms[(np.abs(p[perms] - p) <= PROB_TOL).all(axis=1)]
+    perms.setflags(write=False)
+    return perms
 
 
 def orbit_measures(matrix: MeasuredMatrix, x) -> MeasureSet:

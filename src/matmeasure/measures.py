@@ -99,7 +99,8 @@ _BOUND_SLACK = 1e-9
 def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> tuple:
     """Checked canonical keys of measures ``points`` (P, m, d), ``weights`` (P, m),
     as a key table (``_stack_keys``): the bits ``WeightedPointMeasure`` gives
-    each row on its own."""
+    each row on its own.  The rows that merge atoms are merged together, one
+    atom position at a time; the others stay one slice of the sorted stack."""
     if points.shape[1] == 0:
         raise ValueError("a measure needs at least one atom")
     if points.shape[2] == 0:
@@ -116,19 +117,29 @@ def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> tuple:
                                order[..., None], axis=1)
     touching = (np.abs(np.diff(stack[..., :-1], axis=1)) <= ATOM_MERGE_TOL).all(axis=-1)
     merged = touching.any(axis=-1).nonzero()[0]
+    p, m = stack.shape[:2]
+    counts = np.full(p, m, dtype=np.intp)
     if not len(merged):  # the stack is the table's one stack
-        p, m = stack.shape[:2]
-        return np.full(p, m, dtype=np.intp), np.arange(p), {m: stack}
-    keys = list(stack)
-    for p in merged:
-        key, firsts = keys[p], [0]
-        for r in range(1, len(key)):
-            if np.all(np.abs(key[r, :-1] - key[firsts[-1], :-1]) <= ATOM_MERGE_TOL):
-                key[firsts[-1], -1] += key[r, -1]
-            else:
-                firsts.append(r)
-        keys[p] = key[firsts]
-    return _stack_keys(keys)
+        return counts, np.arange(p), {m: stack}
+    # Atom r joins the run of the last run start if within ATOM_MERGE_TOL of it,
+    # and its weight is added to the start's in sorted order, as in one row.
+    keys, rows = stack[merged], np.arange(len(merged))
+    start, starts = np.zeros(len(merged), dtype=np.intp), np.ones(keys.shape[:2], dtype=bool)
+    for r in range(1, m):
+        close = (np.abs(keys[:, r, :-1] - keys[rows, start, :-1]) <= ATOM_MERGE_TOL).all(axis=1)
+        keys[rows[close], start[close], -1] += keys[close, r, -1]
+        starts[:, r] = ~close
+        start[~close] = r
+    counts[merged] = starts.sum(axis=1)
+    # A row that merges has fewer than m atoms: the rows left with m are one slice.
+    slot, stacks = np.empty(p, dtype=np.intp), {}
+    for c in set(counts.tolist()):
+        group = np.flatnonzero(counts == c)
+        slot[group] = np.arange(len(group))
+        same = counts[merged] == c
+        stacks[c] = stack[group] if c == m else keys[same][starts[same]].reshape(len(group), c, -1)
+        stacks[c].setflags(write=False)
+    return counts, slot, stacks
 
 
 def _dedup(table: tuple, tol: float) -> np.ndarray:

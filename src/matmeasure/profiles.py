@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .matrices import MeasuredMatrix, _law_points, permutations_preserving
-from .measures import MeasureSet, WeightedPointMeasure, hausdorff_distance
+from .measures import MeasureSet, hausdorff_distance
 
 MODES = ("sampled", "exact_orbit")
 HALTON_BLOCK = 32
@@ -127,16 +127,6 @@ def _canonical_vectors(n: int, seed: int, count: int) -> np.ndarray:
     fixed = np.concatenate((np.ones((1, n)), np.eye(n), 2.0 * halton_block(n) - 1.0))
     drawn = np.random.default_rng(seed).uniform(-1.0, 1.0, (max(0, count - len(fixed)), n))
     return np.concatenate((fixed[:count], drawn))
-
-
-def tuple_law(matrix: MeasuredMatrix, vectors: Sequence[np.ndarray]) -> WeightedPointMeasure:
-    """Law of (Z_1, A Z_1, ..., Z_k, A Z_k) under the index weights."""
-    columns = []
-    for z in vectors:
-        z = np.asarray(z, dtype=float).ravel()
-        columns.append(z)
-        columns.append(matrix.entries @ z)
-    return WeightedPointMeasure(np.column_stack(columns), matrix.p)
 
 
 def sample_profile(matrix: MeasuredMatrix, k: int, count: int, seed: int) -> ProfileSample:

@@ -69,6 +69,32 @@ def lp_reference(mu: mm.WeightedPointMeasure, nu: mm.WeightedPointMeasure,
     return _lp_breakpoints(dist, mu.weights, nu.weights)
 
 
+def canonical_key_reference(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One measure's canonical key on its own, atom by atom: the atoms sorted
+    lexicographically, each merged into the first atom of its run when within
+    ``ATOM_MERGE_TOL`` of it componentwise, weights added in sorted order."""
+    key = np.column_stack((points, weights))[np.lexsort(points.T[::-1])]
+    firsts = [0]
+    for r in range(1, len(key)):
+        if np.all(np.abs(key[r, :-1] - key[firsts[-1], :-1]) <= ATOM_MERGE_TOL):
+            key[firsts[-1], -1] += key[r, -1]
+        else:
+            firsts.append(r)
+    return key[firsts]
+
+
+def tuple_law(matrix: mm.MeasuredMatrix, vectors) -> mm.WeightedPointMeasure:
+    """Law of (Z_1, A Z_1, ..., Z_k, A Z_k) under the index weights, with each
+    A z one ``A @ z`` on its own: the per-vector reference for the batched
+    builders."""
+    columns = []
+    for z in vectors:
+        z = np.asarray(z, dtype=float).ravel()
+        columns.append(z)
+        columns.append(matrix.entries @ z)
+    return mm.WeightedPointMeasure(np.column_stack(columns), matrix.p)
+
+
 def far_mass_pair():
     """A planar pair whose distance is its far mass, 0.445, which the kernel
     sums in atom order and the lower bound in nearest-distance order: the

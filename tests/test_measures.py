@@ -5,13 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (_BOUND_SLACK, MASS_SLACK, METRICS, SET_DEDUP_TOL,
-                                 SUBSET_KERNEL_MAX_ATOMS, _canonical_rank, _dedup, _far_pairs,
-                                 _join, _key_stacks, _lp_breakpoints, _lp_lower_bound,
+                                 SUBSET_KERNEL_MAX_ATOMS, _canonical_keys, _canonical_rank, _dedup,
+                                 _far_pairs, _join, _key_stacks, _lp_breakpoints, _lp_lower_bound,
                                  _lp_subsets, _pair_lp, _point_distances, _quantile_sketch,
                                  _stack_keys)
-from conftest import (dedup_reference, far_mass_pair, four_vertex_classes, hausdorff_reference,
-                      lower_bound_reference, lp_oracle, lp_reference, measure_set_reference,
-                      random_measure, random_weights)
+from conftest import (canonical_key_reference, dedup_reference, far_mass_pair,
+                      four_vertex_classes, hausdorff_reference, lower_bound_reference, lp_oracle,
+                      lp_reference, measure_set_reference, random_measure, random_weights)
 
 HALF = 0.5
 
@@ -39,6 +39,26 @@ def test_atoms_merge_into_the_first_atom_of_their_run():
                                  [0.2, 0.3, 0.5])
     assert mu.points.tolist() == [[0.0, 0.0], [1.4e-12, 0.0]]
     assert mu.weights.tolist() == [0.5, 0.5]
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_canonical_keys_of_a_stack_equal_each_row_on_its_own(seed):
+    # Coordinates on a grid of steps 0.7e-12 apart, so rows hold runs that
+    # merge, chains of near atoms that split into several runs, and no merge
+    # at all; random weights make the order of the weight sums show.
+    rng = np.random.default_rng(seed)
+    rows, m, d = (int(v) for v in rng.integers(1, (8, 9, 4)))
+    points = rng.integers(-2, 3, (rows, m, d)) * 0.7e-12 + rng.integers(0, 2, (rows, m, d))
+    weights = rng.random((rows, m)) + 0.1
+    weights /= weights.sum(axis=1, keepdims=True)
+    counts, slot, stacks = _canonical_keys(points, weights)
+    for p in range(rows):
+        expected = canonical_key_reference(points[p], weights[p])
+        assert counts[p] == len(expected)
+        assert stacks[counts[p]][slot[p]].tobytes() == expected.tobytes()
+    for c, keys in stacks.items():
+        assert slot[counts == c].tolist() == list(range(len(keys)))
 
 
 def test_weights_must_be_positive_and_normalized():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import matmeasure as mm
-from matmeasure.profiles import HALTON_BLOCK, _canonical_vectors, halton_block
-from conftest import EXAMPLE_A
+from matmeasure.matrices import FACTORIAL_LIMIT
+from matmeasure.profiles import EXACT_ORBIT_LIMIT, HALTON_BLOCK, _canonical_vectors, halton_block
+from conftest import EXAMPLE_A, tuple_law
 
 # scipy.stats.qmc.Halton(d=13, scramble=False).random(32) (scipy 1.17.1), one
 # string of float.hex values per coordinate (prime bases 2, 3, 5, ..., 41).
@@ -346,11 +347,17 @@ def test_order6_profile_split_at_the_stack_row_bound_equals_from_measures(monkey
 
 def _representations(n: int) -> list:
     """Adjacency, Kirchhoff, normalized Laplacian, stationary-weighted
-    adjacency and a Gaussian matrix, on a path (even n) or a cycle (odd n)."""
-    g = mm.cycle_graph(n) if n % 2 else mm.path_graph(n)
+    adjacency and a Gaussian matrix, on a path (even n) or a cycle (odd n).
+    At n = 1, the one-vertex graph has no edge, so the normalized Laplacian
+    and the stationary weights do not exist."""
     rng = np.random.default_rng(n)
+    gaussian = mm.MeasuredMatrix(rng.normal(size=(n, n)))
+    if n == 1:
+        g = mm.path_graph(1)
+        return [mm.adjacency(g), mm.kirchhoff(g), gaussian]
+    g = mm.cycle_graph(n) if n % 2 else mm.path_graph(n)
     return [mm.adjacency(g), mm.kirchhoff(g), mm.normalized_laplacian(g),
-            mm.adjacency(g, "stationary"), mm.MeasuredMatrix(rng.normal(size=(n, n)))]
+            mm.adjacency(g, "stationary"), gaussian]
 
 
 def _assert_same_members(built: mm.MeasureSet, expected: mm.MeasureSet) -> None:
@@ -358,32 +365,41 @@ def _assert_same_members(built: mm.MeasureSet, expected: mm.MeasureSet) -> None:
     assert [mu.mean.tobytes() for mu in built] == [mu.mean.tobytes() for mu in expected]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 40, 200])
 def test_batched_builders_equal_sets_of_single_measures(n):
     # Each batched builder against from_measures over generate_measure or
-    # tuple_law, one measure object per row.  The all-ones, basis and tied
-    # vectors send rows through the merge loop.  Order 7 keeps to one orbit
-    # and one base vector: 5,040 single constructions per set take a while.
-    v, w = mm.orbit_base_family(n, 17)[:2]
+    # tuple_law, one measure object and one A @ z per row: the stacked
+    # product of _law_points must give the same bits on every order the
+    # orbits take, and on sampled orders past them.  The all-ones, basis and
+    # tied vectors send rows through the merge loop.  Equal vectors generate
+    # equal measures, so the orbit references construct each distinct
+    # permuted vector once, in first-occurrence order, and from_measures
+    # keeps the same members.  Order 7 keeps to one orbit and one base vector
+    # and order 8 to one orbit: 5,040 single constructions per set take a while.
     ties = np.where(np.arange(n) % 2, 0.25, -0.5)
     merged = 0
     for matrix in _representations(n):
-        sigmas = mm.matrices.permutations_preserving(matrix.p)
-        for x in (v, ties, np.ones(n), np.eye(n)[0]) if n < 7 else (ties,):
-            orbit = mm.orbit_measures(matrix, x)
-            _assert_same_members(orbit, mm.MeasureSet.from_measures(
-                mm.generate_measure(matrix, x[sigma]) for sigma in sigmas))
-            merged += sum(mu.atom_count < n for mu in orbit)
-        base = [v, w, v] if n < 7 else [v]
-        _assert_same_members(
-            mm.exact_orbit_profile(matrix, base).measures,
-            mm.MeasureSet.from_measures(mm.generate_measure(matrix, np.sort(u)[sigma])
-                                        for u in base for sigma in sigmas))
+        if n <= FACTORIAL_LIMIT:
+            sigmas = mm.matrices.permutations_preserving(matrix.p)
+            v, w = mm.orbit_base_family(n, 17)[:2]
+            for x in (v, ties, np.ones(n), np.eye(n)[0]) if n < 7 else (ties,):
+                orbit = mm.orbit_measures(matrix, x)
+                vectors, first = np.unique(x[sigmas], axis=0, return_index=True)
+                _assert_same_members(orbit, mm.MeasureSet.from_measures(
+                    mm.generate_measure(matrix, vectors[i]) for i in np.argsort(first)))
+                merged += sum(mu.atom_count < n for mu in orbit)
+        if n <= EXACT_ORBIT_LIMIT:
+            base = [v, w, v] if n < 7 else [v]
+            _assert_same_members(
+                mm.exact_orbit_profile(matrix, base).measures,
+                mm.MeasureSet.from_measures(mm.generate_measure(matrix, np.sort(u)[sigma])
+                                            for u in base for sigma in sigmas))
         for k in (1, 2, 3):
             sample = mm.sample_profile(matrix, k, 40, seed=n)
             _assert_same_members(sample.measures, mm.MeasureSet.from_measures(
-                mm.tuple_law(matrix, t) for t in sample.base_vectors))
-    assert merged > 0
+                tuple_law(matrix, t) for t in sample.base_vectors))
+            merged += sum(mu.atom_count < n for mu in sample.measures)
+    assert merged > 0 or n == 1  # one atom cannot merge
 
 
 def test_orbit_base_family_shape():
