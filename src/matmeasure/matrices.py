@@ -109,12 +109,10 @@ def _permutations(n: int) -> np.ndarray:
 
 def permutations_preserving(p: np.ndarray) -> np.ndarray:
     """All index permutations sigma with p[sigma] == p componentwise, as the
-    read-only rows of a (k, n) array in lexicographic order, filtered from the
-    order's table (``_permutations``); sigma acts as (Px)_i = x_{sigma(i)}."""
+    rows of a (k, n) array in lexicographic order, filtered from the order's
+    table (``_permutations``); sigma acts as (Px)_i = x_{sigma(i)}."""
     perms = _permutations(len(p))
-    perms = perms[(np.abs(p[perms] - p) <= PROB_TOL).all(axis=1)]
-    perms.setflags(write=False)
-    return perms
+    return perms[(np.abs(p[perms] - p) <= PROB_TOL).all(axis=1)]
 
 
 def orbit_measures(matrix: MeasuredMatrix, x) -> MeasureSet:

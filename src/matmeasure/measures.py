@@ -120,7 +120,7 @@ def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> tuple:
     p, m = stack.shape[:2]
     counts = np.full(p, m, dtype=np.intp)
     if not len(merged):  # the stack is the table's one stack
-        return counts, np.arange(p), {m: stack}
+        return _group(counts, lambda c, group: stack)
     # Atom r joins the run of the last run start if within ATOM_MERGE_TOL of it,
     # and its weight is added to the start's in sorted order, as in one row.
     keys, rows = stack[merged], np.arange(len(merged))
@@ -131,15 +131,13 @@ def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> tuple:
         starts[:, r] = ~close
         start[~close] = r
     counts[merged] = starts.sum(axis=1)
-    # A row that merges has fewer than m atoms: the rows left with m are one slice.
-    slot, stacks = np.empty(p, dtype=np.intp), {}
-    for c in set(counts.tolist()):
-        group = np.flatnonzero(counts == c)
-        slot[group] = np.arange(len(group))
+
+    def stack_of(c, group):  # a row that merges has fewer than m atoms
+        if c == m:  # the rows left with m atoms are one slice
+            return stack[group]
         same = counts[merged] == c
-        stacks[c] = stack[group] if c == m else keys[same][starts[same]].reshape(len(group), c, -1)
-        stacks[c].setflags(write=False)
-    return counts, slot, stacks
+        return keys[same][starts[same]].reshape(len(group), c, -1)
+    return _group(counts, stack_of)
 
 
 def _dedup(table: tuple, tol: float) -> np.ndarray:
@@ -579,12 +577,18 @@ def _stack_keys(keys: Sequence[np.ndarray]) -> tuple:
     order, read-only, and ``slot`` (N,) each key's row in its stack.  A key
     holds its points, and its weights in the last column."""
     counts = np.array([len(key) for key in keys], dtype=np.intp)
-    slot = np.empty(len(keys), dtype=np.intp)
+    return _group(counts, lambda m, group: np.stack([keys[k] for k in group]))
+
+
+def _group(counts: np.ndarray, rows) -> tuple:
+    """The key table (``_stack_keys``) of keys with atom counts ``counts``:
+    ``rows(m, group)`` stacks the keys with m atoms, members ``group`` in order."""
+    slot = np.empty(len(counts), dtype=np.intp)
     stacks = {}
     for m in set(counts.tolist()):
         group = np.flatnonzero(counts == m)
         slot[group] = np.arange(len(group))
-        stacks[m] = np.stack([keys[k] for k in group])
+        stacks[m] = rows(m, group)
         stacks[m].setflags(write=False)
     return counts, slot, stacks
 

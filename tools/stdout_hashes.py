@@ -3,10 +3,8 @@
 Usage:
 
     python3 tools/stdout_hashes.py [CHECKOUT] [--seeds 1 2 3 4 5]
-        [--workloads reconstruct orbit-census]
 
-For each workload of ``bench/workloads.py`` (or each one named by
-``--workloads``, in the order given) and each seed (1-5 by default),
+For each workload of ``bench/workloads.py`` and each seed (1-5 by default),
 the checkout's generator writes the op pool to a temporary directory, and
 every op runs in this process through the checkout's ``matmeasure.cli.main``
 with BLAS threads pinned to 1, as ``bench/run.py`` runs it.  Each line reads
@@ -18,9 +16,7 @@ same bytes, so a change that must keep every output bit is checked by
 
     diff <(python3 tools/stdout_hashes.py ../parent) <(python3 tools/stdout_hashes.py .)
 
-All three workloads on five seeds take about two minutes.  A change to one
-path can check the one workload that runs it first; the ``all`` line then
-covers only the lines printed.
+All three workloads on five seeds take about two minutes.
 """
 
 import os
@@ -41,8 +37,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=Path("."))
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    parser.add_argument("--workloads", nargs="+",
-                        help="default: every workload of the checkout's bench/workloads.py")
     args = parser.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
@@ -51,12 +45,8 @@ def main(argv=None) -> int:
 
     if not Path(cli.__file__).resolve().is_relative_to(root / "src"):
         sys.exit(f"error: matmeasure was imported from {cli.__file__}, not {root / 'src'}")
-    names = args.workloads or workloads.WORKLOADS
-    if unknown := [name for name in names if name not in workloads.WORKLOADS]:
-        sys.exit(f"error: unknown workload(s) {', '.join(unknown)}; "
-                 f"expected some of {', '.join(workloads.WORKLOADS)}")
     total = hashlib.sha256()
-    for workload in names:
+    for workload in workloads.WORKLOADS:
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 for op in workloads.build(workload, seed, Path(tmp)):
