@@ -14,9 +14,9 @@ distances from S to the atoms of nu, and the distance is the largest g_S.
 
 One evaluator, ``_pair_lp``, gives every LP value: ``lp_distance`` and
 ``lp_feasible`` ask it for one pair, ``hausdorff_distance`` and
-``min_pairwise_lp`` for batches.  It answers pairs equal within
-``SET_DEDUP_TOL`` with 0.0, orients the others, and hands them to one of two
-exact kernels:
+``min_pairwise_lp`` for batches.  It answers pairs whose keys agree within
+``SET_DEDUP_TOL`` (``_same_keys``) with 0.0, orients the others, and hands
+them to one of two exact kernels:
 
 * the subset min-cut kernel (``_lp_subsets``) enumerates all 2^m subsets of
   the smaller support with numpy, for a batch of pairs at once.  It runs
@@ -140,11 +140,18 @@ def _canonical_keys(points: np.ndarray, weights: np.ndarray) -> tuple:
     return _group(counts, stack_of)
 
 
-def _dedup(table: tuple, tol: float) -> np.ndarray:
+def _same_keys(a: np.ndarray, b: np.ndarray, tol: float = SET_DEDUP_TOL) -> np.ndarray:
+    """Whether keys ``a``, ``b`` (..., m, d + 1) agree within ``tol`` entry by
+    entry: at ``SET_DEDUP_TOL``, the identity rule of sets and of LP zeros."""
+    return (np.abs(a - b) <= tol).all(axis=(-2, -1))
+
+
+def _dedup(table: tuple) -> np.ndarray:
     """Members, ascending, of a key table that the greedy rule keeps: a key is
-    dropped iff an earlier kept key of its atom count lies within ``tol``
-    componentwise.  Only the first of each run of equal keys in a stable sort
-    of a stack's rows is compared: the rule drops the copies after it too."""
+    dropped iff an earlier kept key of its atom count agrees with it within
+    ``SET_DEDUP_TOL`` (``_same_keys``).  Only the first of each run of equal
+    keys in a stable sort of a stack's rows is compared: the rule drops the
+    copies after it too."""
     counts, _, stacks = table
     keep = np.zeros(len(counts), dtype=bool)
     for m, keys in stacks.items():
@@ -157,15 +164,15 @@ def _dedup(table: tuple, tol: float) -> np.ndarray:
         group = np.sort(order[runs])
         flat = flat[group]
         # Only keys with projections on r within pad of each other are compared.
-        # Sound: if fl|a_k - b_k| <= tol for all k (the test below), the exact
-        # projections differ by at most 1.01 tol (r > 0 sums to at most 1 + L eps,
-        # L >= 2 the key size); each computed one is within gamma_L sum r_k |a_k|
-        # <= 0.51 L eps M of the exact one in any summation order (Higham 2002,
-        # eq. 3.5; M the largest |entry|); pad = 4 (tol + L eps M) exceeds 1.01 tol
-        # + 1.03 L eps M by more than eps (1.01 M + pad), the rounding of p +- pad.
+        # Sound: if _same_keys, fl|a_k - b_k| <= tol (SET_DEDUP_TOL) for all k, the
+        # exact projections differ by at most 1.01 tol (r > 0 sums to at most 1 +
+        # L eps, L >= 2 the key size); each computed one is within gamma_L sum r_k
+        # |a_k| <= 0.51 L eps M of the exact one in any summation order (Higham
+        # 2002, eq. 3.5; M the largest |entry|); pad = 4 (tol + L eps M) exceeds 1.01
+        # tol + 1.03 L eps M by more than eps (1.01 M + pad), the rounding of p +- pad.
         r = np.sqrt(np.arange(1.0, flat.shape[1] + 1.0))
         proj = flat @ (r / r.sum())
-        pad = 4.0 * (tol + flat.shape[1] * np.finfo(float).eps * np.abs(flat).max())
+        pad = 4.0 * (SET_DEDUP_TOL + flat.shape[1] * np.finfo(float).eps * np.abs(flat).max())
         ranks = np.argsort(proj)
         lo = np.searchsorted(proj[ranks], proj - pad)
         hi = np.searchsorted(proj[ranks], proj + pad, side="right")
@@ -176,7 +183,7 @@ def _dedup(table: tuple, tol: float) -> np.ndarray:
         for g in np.flatnonzero(hi - lo > 1):
             near = ranks[lo[g]:hi[g]]
             near = near[(near < g) & kept[near]]
-            kept[g] = not (np.abs(flat[near] - flat[g]) <= tol).all(axis=1).any()
+            kept[g] = not _same_keys(keys[group[near]], keys[group[g]]).any()
         keep[np.flatnonzero(counts == m)[group[kept]]] = True
     return np.flatnonzero(keep)
 
@@ -275,14 +282,15 @@ def measure_equal(mu: WeightedPointMeasure, nu: WeightedPointMeasure,
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.atom_count != nu.atom_count:
         return False
-    return bool(np.all(np.abs(mu._key - nu._key) <= tol))
+    return bool(_same_keys(mu._key, nu._key, tol))
 
 
 class MeasureSet:
     """Deduplicated finite collection of same-dimension measures.
 
-    No two members are equal under canonical-atom comparison at the
-    construction tolerance (``SET_DEDUP_TOL`` by default).
+    No two members are the same measure: their canonical keys differ by
+    more than ``SET_DEDUP_TOL`` somewhere (``_same_keys``).  Sets are built,
+    searched and compared at that fixed tolerance only.
 
     A set is one key table (``_stack_keys``): its members' canonical keys
     stacked by atom count, in member order.  ``members`` builds the member
@@ -306,17 +314,14 @@ class MeasureSet:
         return self._members
 
     @classmethod
-    def from_measures(cls, measures: Iterable[WeightedPointMeasure],
-                      tol: float = SET_DEDUP_TOL) -> "MeasureSet":
+    def from_measures(cls, measures: Iterable[WeightedPointMeasure]) -> "MeasureSet":
         measures = list(measures)
         if not measures:
             raise ValueError("a measure set needs at least one measure")
-        dim = measures[0].dim
-        if any(mu.dim != dim for mu in measures):
-            raise ValueError("all members of a measure set must share a dimension")
-        table = _stack_keys([mu._key for mu in measures])
-        kept = _dedup(table, tol)
-        return cls(dim, _take(table, kept), tuple(measures[i] for i in kept.tolist()))
+        table = _key_stacks(measures)
+        kept = _dedup(table)
+        return cls(measures[0].dim, _take(table, kept),
+                   tuple(measures[i] for i in kept.tolist()))
 
     @classmethod
     def from_arrays(cls, stacks: Iterable, weights) -> "MeasureSet":
@@ -335,16 +340,16 @@ class MeasureSet:
             # deduplicating them with the new keys is the greedy rule over all rows.
             table = _join(kept, _canonical_keys(
                 points, np.broadcast_to(weights, points.shape[:2])))
-            kept = _take(table, _dedup(table, SET_DEDUP_TOL))
+            kept = _take(table, _dedup(table))
         if not len(kept[0]):
             raise ValueError("a measure set needs at least one measure")
         return cls(dim, kept)
 
-    def contains(self, mu: WeightedPointMeasure, tol: float = SET_DEDUP_TOL) -> bool:
+    def contains(self, mu: WeightedPointMeasure) -> bool:
         if mu.dim != self.dim:
             raise ValueError(f"dimension mismatch: {mu.dim} vs {self.dim}")
         keys = self._table[2].get(mu.atom_count)
-        return keys is not None and bool((np.abs(keys - mu._key) <= tol).all(axis=(1, 2)).any())
+        return keys is not None and bool(_same_keys(keys, mu._key).any())
 
     def __len__(self) -> int:
         return len(self._table[0])
@@ -356,12 +361,12 @@ class MeasureSet:
         return f"MeasureSet(dim={self.dim}, size={len(self)})"
 
 
-def measure_sets_equal(x: MeasureSet, y: MeasureSet, tol: float = SET_DEDUP_TOL) -> bool:
+def measure_sets_equal(x: MeasureSet, y: MeasureSet) -> bool:
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if len(x) != len(y):
         return False
-    return all(y.contains(m, tol) for m in x) and all(x.contains(m, tol) for m in y)
+    return all(y.contains(m) for m in x) and all(x.contains(m) for m in y)
 
 
 def _point_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
@@ -594,29 +599,25 @@ def _group(counts: np.ndarray, rows) -> tuple:
 
 
 def _take(table: tuple, rows: np.ndarray) -> tuple:
-    """The key table of the members ``rows`` (ascending) of ``table``, made
-    read-only.  A stack that loses rows is copied, so that it does not hold
-    the whole stack."""
+    """The key table of the members ``rows`` (ascending) of ``table``.  A
+    stack that loses rows is copied, so that it does not hold the whole
+    stack; a stack that keeps every row is the same array."""
     counts, slot, stacks = table
-    counts, slot, taken = counts[rows], slot[rows], {}
-    for m, keys in stacks.items():
-        group = np.flatnonzero(counts == m)
-        if len(group):
-            taken[m] = keys if len(group) == len(keys) else keys[slot[group]]
-            taken[m].setflags(write=False)
-            slot[group] = np.arange(len(group))
-    return counts, slot, taken
+    slot = slot[rows]
+    return _group(counts[rows], lambda m, group: stacks[m] if len(group) == len(stacks[m])
+                  else stacks[m][slot[group]])
 
 
 def _join(x: tuple, y: tuple) -> tuple:
     """The members of key table ``x`` and then of ``y``, not deduplicated, as
     one table whose stacks join the two tables' stacks of each atom count."""
-    (cx, sx, kx), (cy, sy, ky) = x, y
-    sy, stacks = sy.copy(), {**kx, **ky}
-    for m in kx.keys() & ky.keys():
-        sy[cy == m] += len(kx[m])
-        stacks[m] = np.concatenate((kx[m], ky[m]))
-    return np.concatenate((cx, cy)), np.concatenate((sx, sy)), stacks
+    (cx, _, kx), (cy, _, ky) = x, y
+
+    def stack_of(m, group):  # a stack of one table only is not copied
+        if m in kx and m in ky:
+            return np.concatenate((kx[m], ky[m]))
+        return kx[m] if m in kx else ky[m]
+    return _group(np.concatenate((cx, cy)), stack_of)
 
 
 def _key_stacks(members) -> tuple:
@@ -650,8 +651,8 @@ def _pair_lp(members, metric: str):
 
     Returns ``lp(i, j, bound=False, cap=None)``: for index arrays ``i``,
     ``j`` into ``members`` (or one scalar; i != j), those pairs' LP
-    distances.  Pairs with one atom count whose canonical keys lie within
-    ``SET_DEDUP_TOL`` (``measure_equal``) are at distance exactly 0.0, which
+    distances.  Pairs with one atom count whose canonical keys agree within
+    ``SET_DEDUP_TOL`` (``_same_keys``) are at distance exactly 0.0, which
     keeps distances between a matrix and its relabelings identically zero.
     Every other pair is oriented by canonical rank (``_canonical_rank``:
     fewer atoms first, then key bytes), so the value is exactly symmetric
@@ -703,7 +704,7 @@ def _pair_lp(members, metric: str):
                 key1, key2 = keys[a][slot[first[chunk]]], keys[b][slot[second[chunk]]]
                 if a == b:
                     # Equal pairs keep their 0.0, before any cap is tested.
-                    unequal = ~(np.abs(key1 - key2) <= SET_DEDUP_TOL).all(axis=(1, 2))
+                    unequal = ~_same_keys(key1, key2)
                     chunk, key1, key2 = chunk[unequal], key1[unequal], key2[unequal]
                 if not len(chunk):
                     continue

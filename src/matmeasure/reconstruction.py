@@ -26,13 +26,12 @@ the hidden matrix itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .matrices import MeasuredMatrix, norm_inf_to_1, orbit_measures, perturb
+from .matrices import MeasuredMatrix, _permutations, norm_inf_to_1, orbit_measures, perturb
 from .measures import (MASS_SLACK, MeasureSet, WeightedPointMeasure, _join, _key_stacks,
                        _pair_lp, _take, min_pairwise_lp)
 
@@ -94,16 +93,12 @@ def permutation_commutator(a: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
 
 
 def _commutator_stack(matrix: MeasuredMatrix) -> np.ndarray:
-    """All nonzero PA - AP over index permutations, stacked."""
-    a = matrix.entries
-    kernels = []
-    for sigma in itertools.permutations(range(matrix.n)):
-        commutator = permutation_commutator(a, sigma)
-        if np.max(np.abs(commutator)) > KERNEL_RESIDUAL_TOL:
-            kernels.append(commutator)
-    if not kernels:
-        return np.empty((0, matrix.n, matrix.n))
-    return np.stack(kernels)
+    """All nonzero PA - AP over index permutations, stacked in the order of
+    the permutation table (``matrices._permutations``): each is
+    ``permutation_commutator`` of its row."""
+    a, perms = matrix.entries, _permutations(matrix.n)
+    stack = a[perms] - a[:, np.argsort(perms, axis=1)].swapaxes(0, 1)
+    return stack[np.abs(stack).max(axis=(1, 2)) > KERNEL_RESIDUAL_TOL]
 
 
 def is_irreducible(matrix: MeasuredMatrix, v, tol: float = KERNEL_RESIDUAL_TOL) -> bool:
@@ -121,8 +116,7 @@ def is_irreducible(matrix: MeasuredMatrix, v, tol: float = KERNEL_RESIDUAL_TOL) 
     kernels = _commutator_stack(matrix)
     if len(kernels) == 0:
         return True
-    permuted = np.stack([v[np.array(sigma)]
-                         for sigma in itertools.permutations(range(matrix.n))])
+    permuted = v[_permutations(matrix.n)]
     residuals = np.einsum("kij,mj->kmi", kernels, permuted)
     norms = np.sqrt((residuals ** 2).sum(axis=2))
     scale = float(np.linalg.norm(v))

@@ -54,12 +54,14 @@ def all_labeled_graphs(n: int):
 def lp_reference(mu: mm.WeightedPointMeasure, nu: mm.WeightedPointMeasure,
                  metric: str = "euclidean") -> float:
     """One pair's LP distance on its own path, outside the batched evaluator:
-    0.0 for pairs that ``measure_equal`` holds for; otherwise the pair, with
-    fewer atoms (then smaller key bytes) first, goes to the subset kernel
-    where ``_uses_subset_kernel`` allows and to the Dinic search elsewhere."""
+    0.0 for pairs of one atom count whose canonical keys agree within
+    ``SET_DEDUP_TOL`` entry by entry (compared with numpy, not by the
+    library's predicate); otherwise the pair, with fewer atoms (then smaller
+    key bytes) first, goes to the subset kernel where ``_uses_subset_kernel``
+    allows and to the Dinic search elsewhere."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    if mm.measure_equal(mu, nu, SET_DEDUP_TOL):
+    if mu.atom_count == nu.atom_count and np.all(np.abs(mu._key - nu._key) <= SET_DEDUP_TOL):
         return 0.0
     if (nu.atom_count, nu._key.tobytes()) < (mu.atom_count, mu._key.tobytes()):
         mu, nu = nu, mu
@@ -128,11 +130,12 @@ def lower_bound_reference(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.
 
 
 def measure_set_reference(measures, tol: float = SET_DEDUP_TOL) -> list:
-    """Greedy dedup by hand: keep each measure unless ``measure_equal`` holds
-    for it and a member with the same atom count kept before it."""
+    """Greedy dedup by hand: keep each measure unless a member with the same
+    atom count kept before it has canonical atoms within ``tol`` of its own,
+    entry by entry (compared with numpy, not by the library's predicate)."""
     kept: list = []
     for mu in measures:
-        if not any(nu.atom_count == mu.atom_count and mm.measure_equal(mu, nu, tol)
+        if not any(nu.atom_count == mu.atom_count and np.all(np.abs(mu._key - nu._key) <= tol)
                    for nu in kept):
             kept.append(mu)
     return kept

@@ -1187,7 +1187,7 @@ EDGE_VALUES = [0.0, TOL, -TOL, 2 * TOL, float(np.nextafter(TOL, 1.0)), 0.5 * TOL
 def test_windowed_dedup_matches_the_greedy_reference(rows):
     # Bitwise repeats come from the small value pool; keys of one or two atoms.
     keys = [np.array(values[:3 * m]).reshape(m, 3) for m, values in rows]
-    assert _dedup(_stack_keys(keys), TOL).tolist() == dedup_reference(keys, TOL)
+    assert _dedup(_stack_keys(keys)).tolist() == dedup_reference(keys, TOL)
 
 
 @given(st.lists(st.tuples(st.integers(1, 3), st.lists(st.sampled_from(EDGE_VALUES + [-0.0]),
@@ -1201,7 +1201,7 @@ def test_dedup_of_joined_tables_matches_the_greedy_reference(rows, cut):
     keys = [np.array(values[:3 * m]).reshape(m, 3) for m, values in rows]
     table = _join(_stack_keys(keys[:cut]), _stack_keys(keys[cut:]))
     table[2][4] = np.empty((0, 4, 3))
-    assert _dedup(table, TOL).tolist() == dedup_reference(keys, TOL)
+    assert _dedup(table).tolist() == dedup_reference(keys, TOL)
 
 
 @pytest.mark.parametrize("base", [0.0, BIG])
@@ -1211,7 +1211,7 @@ def test_windowed_dedup_chains_keep_by_insertion_order(base):
     a, b, c = (np.array([[base + i * step, 1.0]]) for i in range(3))
     for keys, kept in (([a, b, c], [0, 2]), ([b, a, c], [0]), ([c, b, a], [0, 2]),
                        ([a, c, b], [0, 1]), ([b, b, a, c], [0])):
-        assert _dedup(_stack_keys(keys), TOL).tolist() == dedup_reference(keys, TOL) == kept
+        assert _dedup(_stack_keys(keys)).tolist() == dedup_reference(keys, TOL) == kept
 
 
 def test_windowed_dedup_window_covers_projection_rounding():
@@ -1220,7 +1220,7 @@ def test_windowed_dedup_window_covers_projection_rounding():
     rng = np.random.default_rng(3)
     firsts = BIG + rng.integers(-1000, 1000, (200, 2, 3)) * np.spacing(BIG)
     keys = [key for a in firsts for key in (a, a + 8 * np.spacing(BIG))]
-    assert (_dedup(_stack_keys(keys), TOL).tolist() == dedup_reference(keys, TOL)
+    assert (_dedup(_stack_keys(keys)).tolist() == dedup_reference(keys, TOL)
             == list(range(0, 400, 2)))
 
 
@@ -1232,7 +1232,7 @@ def test_windowed_dedup_with_overflowing_projections():
     below[1, 2], negated[0, 0] = np.nextafter(top, 0.0), -top
     keys = [np.full((2, 3), top), below, np.full((2, 3), top), negated]
     with np.errstate(over="ignore"):
-        assert _dedup(_stack_keys(keys), TOL).tolist() == dedup_reference(keys, TOL) == [0, 1, 3]
+        assert _dedup(_stack_keys(keys)).tolist() == dedup_reference(keys, TOL) == [0, 1, 3]
 
 
 def _same_members(built, expected) -> bool:
@@ -1397,6 +1397,50 @@ def test_measure_sets_equal_rejects_dimension_mismatch():
                                             for x in range(size))
         with pytest.raises(ValueError, match="dimension mismatch"):
             mm.measure_sets_equal(planar, solid)
+
+
+def test_sets_take_no_tolerance():
+    # Sets are built, searched and compared at SET_DEDUP_TOL only.
+    mu = mm.dirac([0.0])
+    x = mm.MeasureSet.from_measures([mu])
+    for call in (lambda: mm.MeasureSet.from_measures([mu], 1e-12),
+                 lambda: mm.MeasureSet.from_measures([mu], tol=1e-12),
+                 lambda: x.contains(mu, 1e-12),
+                 lambda: mm.measure_sets_equal(x, x, 1e-6),
+                 lambda: _dedup(_key_stacks([mu]), TOL)):
+        with pytest.raises(TypeError):
+            call()
+
+
+NUDGES = [0.0, 0.4, -0.4, 0.9, -0.9, 1.1, -1.1, 3.0]
+
+
+def _nudged(rng, mu: mm.WeightedPointMeasure, nudges=NUDGES) -> mm.WeightedPointMeasure:
+    shift = SET_DEDUP_TOL * rng.choice(nudges, mu.points.shape)
+    return mm.WeightedPointMeasure(mu.points + shift, mu.weights)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(METRICS))
+@settings(max_examples=150, deadline=None)
+def test_set_identity_agrees_with_lp_zeros_on_near_duplicate_families(seed, metric):
+    # Members nudged off one to three bases by 0, 0.4, 0.9, 1.1 and 3
+    # tolerances per coordinate.  Half the ys are copies of x's members in
+    # reverse order, nudged by at most 0.9 tolerances, so that some sets are
+    # equal; copies of members a little over the tolerance apart may merge.
+    rng = np.random.default_rng(seed)
+    bases = [random_measure(rng, max_atoms=3) for _ in range(int(rng.integers(1, 4)))]
+
+    def family():
+        return [_nudged(rng, bases[int(rng.integers(len(bases)))])
+                for _ in range(int(rng.integers(1, 9)))]
+    x = mm.MeasureSet.from_measures(family())
+    copies = [_nudged(rng, mu, NUDGES[:5]) for mu in reversed(x.members)]
+    y = mm.MeasureSet.from_measures(copies if rng.integers(2) else family())
+    for s in (x, y):
+        if len(s) >= 2:
+            assert mm.min_pairwise_lp(s, metric) > 0.0
+    assert mm.measure_sets_equal(x, y) == (mm.hausdorff_distance(x, y, metric) == 0.0
+                                           and len(x) == len(y))
 
 
 # ---------------------------------------------------------------------------

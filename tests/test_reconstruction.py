@@ -5,7 +5,8 @@ import pytest
 
 import matmeasure as mm
 from matmeasure.measures import MASS_SLACK, METRICS, _key_stacks, _pair_lp
-from matmeasure.reconstruction import DegenerateSupportError, _near
+from matmeasure.reconstruction import (KERNEL_RESIDUAL_TOL, DegenerateSupportError,
+                                      _commutator_stack, _near, permutation_commutator)
 from conftest import (EXAMPLE_A, EXAMPLE_B, far_mass_pair, four_vertex_classes, lp_reference,
                       random_measure, random_weights)
 
@@ -42,6 +43,22 @@ def test_worked_irreducible_and_reducible_vectors():
     m = mm.MeasuredMatrix(EXAMPLE_B)
     assert mm.is_irreducible(m, [1.0, 0.0])
     assert not mm.is_irreducible(m, [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_commutator_stack_equals_the_per_permutation_stack(n):
+    # The reference builds PA - AP one permutation at a time, in the order of
+    # itertools.permutations, and keeps those above the residual tolerance.
+    rng = np.random.default_rng(70 + n)
+    for entries in (rng.integers(0, 2, (n, n)).astype(float), rng.standard_normal((n, n)),
+                    2.5 * np.eye(n)):
+        matrix = mm.MeasuredMatrix(entries)
+        expected = [c for c in (permutation_commutator(matrix.entries, sigma)
+                                for sigma in itertools.permutations(range(n)))
+                    if np.max(np.abs(c)) > KERNEL_RESIDUAL_TOL]
+        stack = _commutator_stack(matrix)
+        assert stack.shape == (len(expected), n, n)
+        assert stack.tobytes() == b"".join(c.tobytes() for c in expected)
 
 
 def test_everything_is_irreducible_for_scalar_matrices():
