@@ -27,19 +27,18 @@ them to one of two exact kernels:
   pairwise support distances, which are the breakpoints of the step
   function F, and a binary search over them finds the exact infimum.
 
-Asked for bounds instead, it gives each pair a nearest-neighbour lower bound
-(``_lp_lower_bound``), by which ``min_pairwise_lp`` orders and prunes its
-search.  Given a cap per pair, it evaluates only the pairs whose bound is
-within the cap (``_far_pairs`` tests this without the bound's sort) and
-leaves NaN for the others, whose distance exceeds the cap: the Hausdorff
-search caps each candidate at its row's running minimum, and
-reconstruction's isolation check at its threshold.
+Given a cap per pair, it evaluates only the pairs whose far mass does not
+show their distance above the cap (``_far_pairs``, the one lower bound) and
+leaves NaN for the others: the Hausdorff search caps each candidate at its
+row's running minimum, ``min_pairwise_lp`` each block of pairs at the
+smallest distance so far, and reconstruction's isolation check at its
+threshold.
 
 A collection of measures has one form, the key table (``_stack_keys``) of
 its canonical keys stacked by atom count.  A ``MeasureSet`` is one, so a set
 made by ``from_arrays`` builds its member objects only when they are read.
 
-The tests cross-check both kernels and the bound against a brute-force
+The tests cross-check both kernels and the far test against a brute-force
 oracle that evaluates the two defining inequalities directly over all unions
 of support atoms, and the pruned searches against the full distance table.
 
@@ -82,17 +81,17 @@ _SUBSET_TABLE_MAX_CELLS = 1 << 20
 # The traced peak of one exact-orbit dist of 360 x 60 members (house vs
 # K(2,3)) is 0.94 MB with it, and was 1.8 MB with 1 << 15.
 _CHUNK_CELLS = 1 << 13
-# Margin by which a computed lower bound (``_lp_lower_bound``) may exceed the
+# Margin by which a pair's computed far mass (``_far_pairs``) may exceed the
 # computed LP value of its pair: a pruned search skips a pair only when its
-# bound exceeds the value to beat by more.  Both read one distance table, so
-# only mass terms round, by at most u = 2^-53 per operation on masses of at
-# most 1 + 1e-12.  The kernel's a(S) and C_k are sums of at most 10 and 2^19
-# weights (the table cap), so a(S) - C_k is off by under 6e-11, and the
-# bound's prefix sums W_k over the same supports by as little.  Dinic's flow
-# changes by one rounded update per edge of each augmenting path, which
-# keeps it within 1e-10 on supports of a few dozen atoms; the exhaustion cut
-# ``flows.CAP_EPS`` only stops flow, which raises the value.  1e-9 covers
-# the sum with room to spare.
+# far mass exceeds the value to beat by more.  Both read one distance table,
+# so only mass terms round, by at most u = 2^-53 per operation on masses of
+# at most 1 + 1e-12.  The far mass is a sum of at most m weights in atom
+# order, off by under m u; the kernel's a(S) and C_k are sums of at most 10
+# and 2^19 weights (the table cap), so a(S) - C_k is off by under 6e-11.
+# Dinic's flow changes by one rounded update per edge of each augmenting
+# path, which keeps it within 1e-10 on supports of a few dozen atoms; the
+# exhaustion cut ``flows.CAP_EPS`` only stops flow, which raises the value.
+# 1e-9 covers the sum with room to spare.
 _BOUND_SLACK = 1e-9
 
 
@@ -366,7 +365,9 @@ def measure_sets_equal(x: MeasureSet, y: MeasureSet) -> bool:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if len(x) != len(y):
         return False
-    return all(y.contains(m) for m in x) and all(x.contains(m) for m in y)
+    # Members of one set are pairwise apart, so deduplicating a's table joined
+    # with b's keeps all of a and drops just the members of b with a partner in a.
+    return all(len(_dedup(_join(a._table, b._table))) == len(a) for a, b in ((x, y), (y, x)))
 
 
 def _point_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
@@ -468,49 +469,16 @@ def _lp_subsets(dist: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.minimum(g.max(axis=-1), 1.0)
 
 
-def _lp_lower_bound(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lower bounds on the LP distances of a batch of pairs, from the same
-    ``dist`` (P, m1, m2), ``a`` (P, m1) and ``b`` (P, m2) as ``_lp_subsets``.
+def _far_pairs(dist: np.ndarray, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Which pairs of a batch (``_lp_subsets``' arguments) are at LP distance
+    above ``t`` (P,) by their far mass, the library's one lower bound.
 
     Let r_i be the distance from atom i of mu to the nearest atom of nu, and
-    W_k the mass of the k atoms with the largest r.  If eps is feasible, the
-    set A of atoms with r_i > eps holds no atom of nu in its enlargement
-    A^eps, so the LP inequality mu(A) <= nu(A^eps) + eps reads mu(A) <= eps:
-    with k = |A|, both r_(k+1) <= eps and W_k <= eps.  Hence LP >= tau_mu =
-    min over k = 0..m of max(r_(k+1), W_k), with r_(m+1) = 0, and by symmetry
-    LP >= max(tau_mu, tau_nu).  It costs O(m1 m2) per pair against the
-    kernel's 2^m1 sorted rows.  Only ``_pair_lp`` calls it.
-
-    A side whose weights are equal within each pair, as in every orbit of a
-    matrix with uniform index weights, sorts r alone and takes the weights'
-    own prefix sums: W_k is then the same sum in any atom order, so the bits
-    equal those of the general path, which sorts the weights along with r.
-    """
-    taus = []
-    for r, w in ((_row_min(dist), a), (_row_min(dist.swapaxes(1, 2)), b)):
-        if (w == w[:, :1]).all():
-            r, mass = np.sort(r, axis=1)[:, ::-1], w.cumsum(axis=1)
-        else:
-            order = np.argsort(-r, axis=1, kind="stable")
-            r = np.take_along_axis(r, order, axis=1)
-            mass = np.take_along_axis(w, order, axis=1).cumsum(axis=1)
-        # k = 0 gives r_(1), k = m gives W_m, and 0 < k < m gives max(r_(k+1), W_k).
-        taus.append(np.minimum(np.minimum(r[:, 0], mass[:, -1]),
-                               _row_min(np.maximum(r[:, 1:], mass[:, :-1]))))
-    return np.maximum(*taus)
-
-
-def _far_pairs(dist: np.ndarray, a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Which pairs of a batch (``_lp_subsets``' arguments) have
-    ``_lp_lower_bound`` above ``t`` (P,), without its sort.
-
-    With r as there and A_t = {i : r_i > t}, a side's tau exceeds t iff
-    mu(A_t) > t.  For k < |A_t| the k + 1 atoms of largest r all lie in A_t,
-    so r_(k+1) > t.  For k >= |A_t| the k atoms of largest r contain A_t, so
-    W_k >= mu(A_t).  At k = |A_t| we have r_(k+1) <= t and W_k = mu(A_t), so
-    both terms are at most t unless mu(A_t) > t; and if mu(A_t) > t, every
-    k has a term above t.  The masses are summed here in atom order rather
-    than in r order, a rounding difference far inside ``_BOUND_SLACK``."""
+    A_t = {i : r_i > t}.  If t is feasible, A_t has no atom of nu within t,
+    so the LP inequality mu(A_t) <= nu(A_t^t) + t reads mu(A_t) <= t.  So a
+    pair whose mu(A_t) or (by symmetry) nu's far mass exceeds t is at
+    distance above t.  The masses are summed in atom order, which
+    ``_BOUND_SLACK`` covers."""
     col = t[:, None]
     return ((np.where(_row_min(dist) > col, a, 0.0).sum(axis=1) > t)
             | (np.where(_row_min(dist.swapaxes(1, 2)) > col, b, 0.0).sum(axis=1) > t))
@@ -649,11 +617,11 @@ def _pair_lp(members, metric: str):
     """The Levy-Prokhorov evaluator: LP distances between pairs of ``members``,
     a ``MeasureSet`` or a sequence of measures.
 
-    Returns ``lp(i, j, bound=False, cap=None)``: for index arrays ``i``,
-    ``j`` into ``members`` (or one scalar; i != j), those pairs' LP
-    distances.  Pairs with one atom count whose canonical keys agree within
-    ``SET_DEDUP_TOL`` (``_same_keys``) are at distance exactly 0.0, which
-    keeps distances between a matrix and its relabelings identically zero.
+    Returns ``lp(i, j, cap=None)``: for index arrays ``i``, ``j`` into
+    ``members`` (or one scalar; i != j), those pairs' LP distances.  Pairs
+    with one atom count whose canonical keys agree within ``SET_DEDUP_TOL``
+    (``_same_keys``) are at distance exactly 0.0, which keeps distances
+    between a matrix and its relabelings identically zero.
     Every other pair is oriented by canonical rank (``_canonical_rank``:
     fewer atoms first, then key bytes), so the value is exactly symmetric
     and the smaller support comes first.  Pairs with the same two atom
@@ -661,14 +629,12 @@ def _pair_lp(members, metric: str):
     table cells, which reuse one work buffer per call; pairs too big for the
     kernel go one at a time to the Dinic breakpoint search.
 
-    With ``bound``, ``lp`` returns instead the pairs' lower bounds
-    (``_lp_lower_bound``, 0.0 on equal pairs too).  With ``cap`` (a scalar,
-    or one value per pair), a pair whose lower bound exceeds its cap plus
-    ``_BOUND_SLACK`` (``_far_pairs``, after the equality rule) is not
-    evaluated and reads NaN: its computed distance would exceed the cap.
-    Both read the atom distances in chunks of at most ``_CHUNK_CELLS`` cells
-    of the pairs' coordinate differences, and a capped chunk hands its
-    surviving pairs, with their distances, to the kernels.
+    With ``cap`` (a scalar, or one value per pair), a pair whose far mass
+    exceeds its cap plus ``_BOUND_SLACK`` (``_far_pairs``, after the
+    equality rule) is not evaluated and reads NaN: its computed distance
+    would exceed the cap.  Capped pairs are read in chunks of at most
+    ``_CHUNK_CELLS`` cells of their coordinate differences, and a chunk
+    hands its surviving pairs, with their distances, to the kernels.
 
     The evaluator reads only the members' key table (``_key_stacks``),
     which a set is: it re-stacks no key of a set, and builds no member.
@@ -680,7 +646,7 @@ def _pair_lp(members, metric: str):
     counts, slot, keys = _key_stacks(members)
     rank = _canonical_rank(counts, slot, keys)
 
-    def lp(i, j, bound: bool = False, cap=None) -> np.ndarray:
+    def lp(i, j, cap=None) -> np.ndarray:
         swap = rank[j] < rank[i]
         first, second = np.where(swap, j, i), np.where(swap, i, j)
         out = np.zeros(len(first))
@@ -691,11 +657,11 @@ def _pair_lp(members, metric: str):
         for a, b in set(zip(m1.tolist(), m2.tolist())):
             kernel = _uses_subset_kernel(a, b)
             step = max(1, _CHUNK_CELLS // (b << a)) if kernel else 1
-            # Bound and cap chunks are sized by _point_distances' coordinate differences.
+            # Capped chunks are sized by _point_distances' coordinate differences.
             cells = a * b * (keys[a].shape[2] - 1)
-            size = max(1, _CHUNK_CELLS // cells) if bound or cap is not None else step
+            size = max(1, _CHUNK_CELLS // cells) if cap is not None else step
             groups.append((a, b, ((m1 == a) & (m2 == b)).nonzero()[0], kernel, step, size))
-        work = np.empty(0 if bound else max(
+        work = np.empty(max(
             (_subset_cells(min(step, len(pairs)), a, b)
              for a, b, pairs, kernel, step, _ in groups if kernel), default=0))
         for a, b, pairs, kernel, step, size in groups:
@@ -710,9 +676,6 @@ def _pair_lp(members, metric: str):
                     continue
                 dist = _point_distances(key1[..., :-1], key2[..., :-1], metric)
                 w1, w2 = key1[..., -1], key2[..., -1]
-                if bound:
-                    out[chunk] = _lp_lower_bound(dist, w1, w2)
-                    continue
                 if cap is not None:
                     near = np.flatnonzero(~_far_pairs(dist, w1, w2, cap[chunk]))
                     if len(near) < len(chunk):
@@ -733,23 +696,19 @@ def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
     """Smallest LP distance between distinct members of a collection: bit for
     bit the minimum of ``lp_distance`` over all pairs.
 
-    Every pair is bounded below (``_lp_lower_bound``) in one batched call.
-    Pairs are then evaluated in ascending bound order, in blocks of 1, 2, 4,
-    ... pairs, one call per block.  A pair whose bound exceeds the best value
-    so far by ``_BOUND_SLACK`` cannot beat it, so such pairs are skipped, and
-    the search stops at the first of them in bound order.  A ``MeasureSet``
-    is read from its key stacks, without building its members.
+    The pairs are evaluated in ``np.triu_indices`` order, in blocks of 1, 2,
+    4, ... pairs, one call per block, each pair capped at the smallest value
+    so far (none in the first block).  A pair the cap skips is at a computed
+    distance above it, so it cannot lower the minimum.  A ``MeasureSet`` is
+    read from its key stacks, without building its members.
     """
     members = measures if isinstance(measures, MeasureSet) else list(measures)
     rows, cols = np.triu_indices(len(members), 1)
     lp = _pair_lp(members, metric)
-    bounds = lp(rows, cols, bound=True)
-    order = np.argsort(bounds, kind="stable")
     best, start, size = np.inf, 0, 1
-    while start < len(order) and bounds[order[start]] <= best + _BOUND_SLACK:
-        block = order[start:start + size]
-        block = block[bounds[block] <= best + _BOUND_SLACK]
-        best = min(best, lp(rows[block], cols[block]).min())
+    while start < len(rows):
+        block = slice(start, start + size)
+        best = np.fmin.reduce(lp(rows[block], cols[block], cap=best), initial=best)
         start, size = start + size, 2 * size
     return float(best)
 
@@ -874,10 +833,10 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
     * each direction then visits its rows in descending order of their
       running minimum, in waves of 1, 2, 4, ... rows that walk their
       sketch-proximity orders together in blocks of 2, 4, 8, ... candidates,
-      one evaluation call per block, which skips the candidates whose lower
-      bound shows they cannot lower their row's running minimum.  A row
-      stops once its minimum cannot raise the largest minimum found so far,
-      in either direction.
+      one evaluation call per block, which skips the candidates whose far
+      mass (``_far_pairs``) shows they cannot lower their row's running
+      minimum.  A row stops once its minimum cannot raise the largest
+      minimum found so far, in either direction.
 
     The visiting order changes only the work: the result is the largest row
     or column minimum of the full table, bit for bit.  The search reads the

@@ -384,8 +384,8 @@ def _near(base: MeasureSet, probe: MeasureSet, eps: float) -> np.ndarray:
     """Positions of the ``probe`` members that ``lp_feasible(mu, member, eps)``
     accepts, mu the first member of ``base``, in one batch on mu's key joined
     with ``probe``'s table.  Members are capped at the threshold eps +
-    MASS_SLACK: one whose lower bound exceeds it by ``_BOUND_SLACK`` is not
-    evaluated, and its NaN compares false."""
+    MASS_SLACK: one whose far mass (``_far_pairs``) exceeds it by
+    ``_BOUND_SLACK`` is not evaluated, and its NaN compares false."""
     first = _take(_key_stacks(base), np.zeros(1, dtype=np.intp))
     lp = _pair_lp(MeasureSet(base.dim, _join(first, _key_stacks(probe))), "euclidean")
     threshold = eps + MASS_SLACK

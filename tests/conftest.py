@@ -116,9 +116,14 @@ def hausdorff_reference(x: mm.MeasureSet, y: mm.MeasureSet, metric: str = "eucli
 
 
 def lower_bound_reference(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``measures._lp_lower_bound`` by its general path on every side: the
-    weights are put in r's descending order by a stable argsort and summed
-    there, and the minima are numpy reductions."""
+    """Lower bounds max(tau_mu, tau_nu) on the LP distances of a batch of
+    pairs (``dist`` (P, m1, m2), weights ``a`` (P, m1) and ``b`` (P, m2)),
+    the reference ``measures._far_pairs`` is held to.  With r_i the distance
+    from atom i of mu to the nearest atom of nu and W_k the mass of the k
+    atoms of largest r, tau_mu = min over k = 0..m of max(r_(k+1), W_k),
+    r_(m+1) = 0; it exceeds t iff the atoms with r_i > t weigh more than t,
+    the far test.  The weights are put in r's descending order by a stable
+    argsort and summed there, and the minima are numpy reductions."""
     taus = []
     for r, w in ((dist.min(axis=2), a), (dist.min(axis=1), b)):
         order = np.argsort(-r, axis=1, kind="stable")

@@ -6,7 +6,7 @@ import matmeasure as mm
 from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (_BOUND_SLACK, MASS_SLACK, METRICS, SET_DEDUP_TOL,
                                  SUBSET_KERNEL_MAX_ATOMS, _canonical_keys, _canonical_rank, _dedup,
-                                 _far_pairs, _join, _key_stacks, _lp_breakpoints, _lp_lower_bound,
+                                 _far_pairs, _join, _key_stacks, _lp_breakpoints,
                                  _lp_subsets, _pair_lp, _point_distances, _quantile_sketch,
                                  _stack_keys)
 from conftest import (canonical_key_reference, dedup_reference, far_mass_pair,
@@ -876,6 +876,13 @@ def bound_corpus(rng: np.random.Generator, kind: int, dim: int) -> list:
     return members
 
 
+def reference_bounds(members: list, rows, cols, metric: str) -> np.ndarray:
+    """``lower_bound_reference`` of the pairs ``rows``, ``cols`` of ``members``."""
+    return np.array([lower_bound_reference(
+        _point_distances(members[i].points, members[j].points, metric)[None],
+        members[i].weights[None], members[j].weights[None])[0] for i, j in zip(rows, cols)])
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_lp_lower_bound_is_at_most_the_distance(seed):
@@ -883,7 +890,7 @@ def test_lp_lower_bound_is_at_most_the_distance(seed):
     metric, kind, dim = METRICS[seed % 2], seed // 2 % 3, 1 + seed // 6 % 3
     members = bound_corpus(rng, kind, dim)
     rows, cols = np.triu_indices(len(members), 1)
-    bounds = _pair_lp(members, metric)(rows, cols, bound=True)
+    bounds = reference_bounds(members, rows, cols, metric)
     assert (bounds >= 0.0).all()
     for i, j, bound in zip(rows, cols, bounds):
         mu, nu = members[i], members[j]
@@ -899,7 +906,7 @@ def test_lp_lower_bound_is_attained(metric):
     t = 0.375
     far = mm.WeightedPointMeasure([[5.0, 0.0], [6.0, 1.0]], [0.25, 0.75])
     members = [mm.dirac([0.0, 0.0]), mm.dirac([t, 0.0]), far]
-    bounds = _pair_lp(members, metric)([0, 0, 1], [1, 2, 2], bound=True)
+    bounds = reference_bounds(members, [0, 0, 1], [1, 2, 2], metric)
     assert bounds.tolist() == [t, 1.0, 1.0]
     assert [lp_reference(members[i], members[j], metric)
             for i, j in ((0, 1), (0, 2), (1, 2))] == bounds.tolist()
@@ -907,21 +914,21 @@ def test_lp_lower_bound_is_attained(metric):
 
 def test_lp_lower_bound_of_pairs_within_the_dedup_tolerance_is_zero():
     # Their nearest-atom distances are about 1e-11, yet the evaluator answers
-    # them with 0.0, so the bound must not exceed that.
+    # them with 0.0, so a cap of 0.0 must not skip them.
     rng = np.random.default_rng(23)
     for m in (1, 4, 12):
         mu = mm.WeightedPointMeasure(rng.uniform(-1.0, 1.0, (m, 2)), random_weights(rng, m))
         nudged = mm.WeightedPointMeasure(mu.points + 1e-11, mu.weights)
         for metric in METRICS:
             lp = _pair_lp([mu, nudged], metric)
-            assert lp(0, [1], bound=True).tolist() == [0.0] == lp(0, [1]).tolist()
+            assert lp(0, [1], cap=0.0).tolist() == [0.0] == lp(0, [1]).tolist()
 
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_bound_slack_covers_the_rounding_of_mass_terms(metric):
     mu, nu = far_mass_pair()
     lp = _pair_lp([mu, nu], metric)
-    value, bound = lp(0, [1])[0], lp(0, [1], bound=True)[0]
+    value, bound = lp(0, [1])[0], reference_bounds([mu, nu], [0], [1], metric)[0]
     assert value == lp_reference(mu, nu, metric)
     assert value < bound <= value + _BOUND_SLACK
     # Capped at its own distance, the pair is evaluated, not skipped.
@@ -932,7 +939,7 @@ def test_bound_slack_covers_the_rounding_of_mass_terms(metric):
 @example(41606)
 @settings(max_examples=40, deadline=None)
 def test_capped_pairs_are_skipped_exactly_where_the_lower_bound_exceeds_the_cap(seed):
-    # The sort-free test of _far_pairs against _lp_lower_bound, at thresholds
+    # The sort-free test of _far_pairs against the reference bound, at thresholds
     # taken from the pairs' own distances and at random ones; then the
     # evaluator: a capped pair reads NaN iff its bound exceeds cap +
     # _BOUND_SLACK, and otherwise its uncapped value.  _far_pairs sums the far
@@ -949,43 +956,17 @@ def test_capped_pairs_are_skipped_exactly_where_the_lower_bound_exceeds_the_cap(
         t = np.concatenate((dist.ravel(), rng.uniform(0.0, 1.2, 8), [0.0]))
         batch = np.repeat(dist[None], len(t), axis=0)
         a, b = np.tile(mu.weights, (len(t), 1)), np.tile(nu.weights, (len(t), 1))
-        bound = _lp_lower_bound(batch, a, b)
+        bound = lower_bound_reference(batch, a, b)
         clear = np.abs(bound - t) > 1e-12
         assert np.array_equal(_far_pairs(batch, a, b, t)[clear], (bound > t)[clear])
     lp = _pair_lp(members, metric)
-    exact, bounds = lp(rows, cols), lp(rows, cols, bound=True)
+    exact, bounds = lp(rows, cols), reference_bounds(members, rows, cols, metric)
     caps = np.where(rng.random(len(rows)) < 0.5, exact, rng.uniform(0.0, 1.0, len(rows)))
     capped = lp(rows, cols, cap=caps)
     skipped = np.isnan(capped)
     assert np.array_equal(skipped, bounds > caps + _BOUND_SLACK)
     assert np.array_equal(capped[~skipped], exact[~skipped])
     assert (exact[skipped] > caps[skipped]).all()
-
-
-@given(SEEDS)
-@settings(max_examples=60, deadline=None)
-def test_uniform_weight_bound_equals_the_argsort_path(seed):
-    # Uniform sides take np.sort and their own prefix sums; the reference
-    # sorts every side's weights with r.  Half the batches sit on a grid of
-    # step 1/2, where nearest distances tie; the second side is uniform, or
-    # carries random weights and takes the general path.
-    rng = np.random.default_rng(seed)
-    metric, dim = METRICS[seed % 2], 1 + seed // 2 % 6
-    m1, m2, pairs = (int(k) for k in rng.integers(1, 14, 3))
-    grid = rng.random() < 0.5
-
-    def points(m):
-        if grid:
-            return rng.integers(-2, 3, (pairs, m, dim)) / 2.0
-        return rng.uniform(-1.0, 1.0, (pairs, m, dim)) * float(rng.choice([0.2, 1.0, 3.0]))
-
-    dist = _point_distances(points(m1), points(m2), metric)
-    a = np.full((pairs, m1), 1.0 / m1)
-    b = (np.full((pairs, m2), 1.0 / m2) if rng.random() < 0.7
-         else np.array([random_weights(rng, m2) for _ in range(pairs)]))
-    assert np.array_equal(_lp_lower_bound(dist, a, b), lower_bound_reference(dist, a, b))
-    assert np.array_equal(_lp_lower_bound(dist.swapaxes(1, 2), b, a),
-                          lower_bound_reference(dist.swapaxes(1, 2), b, a))
 
 
 @pytest.mark.parametrize("dim", range(1, 10))
@@ -1379,6 +1360,15 @@ def test_measure_sets_equal():
     assert mm.measure_sets_equal(x, y)
     z = mm.MeasureSet.from_measures(members[:3])
     assert not mm.measure_sets_equal(x, z)
+    # c and d each lie within the tolerance of a, so every member of {c, d}
+    # has a partner in {a, b}; b, far away, has none in {c, d}.
+    a, b = members[0], mm.dirac([7.0, 7.0])
+    c, d = (mm.WeightedPointMeasure(a.points + s * 0.9 * SET_DEDUP_TOL, a.weights)
+            for s in (1.0, -1.0))
+    x, y = mm.MeasureSet.from_measures([a, b]), mm.MeasureSet.from_measures([c, d])
+    assert len(y) == 2 and all(x.contains(mu) for mu in y)
+    assert not mm.measure_sets_equal(x, y)
+    assert not mm.measure_sets_equal(y, x)
 
 
 def test_contains_rejects_dimension_mismatch():

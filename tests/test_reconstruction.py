@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import matmeasure as mm
-from matmeasure.measures import MASS_SLACK, METRICS, _key_stacks, _pair_lp
+from matmeasure.measures import MASS_SLACK, METRICS, _key_stacks, _pair_lp, _point_distances
 from matmeasure.reconstruction import (KERNEL_RESIDUAL_TOL, DegenerateSupportError,
                                       _commutator_stack, _near, permutation_commutator)
-from conftest import (EXAMPLE_A, EXAMPLE_B, far_mass_pair, four_vertex_classes, lp_reference,
-                      random_measure, random_weights)
+from conftest import (EXAMPLE_A, EXAMPLE_B, far_mass_pair, four_vertex_classes,
+                      lower_bound_reference, lp_reference, random_measure, random_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +216,16 @@ def test_min_pairwise_lp_equals_lp_distance_minimum_on_mixed_counts():
         value = mm.min_pairwise_lp(members, metric)
         assert value == all_pairs_minimum(members, metric)
         assert value > 0.0
+    # The unique minimum pair comes last in triu_indices order, in the last
+    # block of the search, which is partial: 36 pairs, blocks of 1-16 and 5.
+    members = [mm.WeightedPointMeasure(rng.uniform(-1.0, 1.0, (m, 2)), random_weights(rng, m))
+               for m in (1, 3, 2, 5, 8, 4, 6, 3)]
+    members.append(mm.WeightedPointMeasure(members[-1].points + 1e-3, members[-1].weights))
+    for metric in METRICS:
+        values = [lp_reference(a, b, metric) for a, b in itertools.combinations(members, 2)]
+        assert values.index(min(values)) == len(values) - 1 == 35
+        assert values.count(min(values)) == 1
+        assert mm.min_pairwise_lp(members, metric) == values[-1]
 
 
 def test_min_pairwise_lp_duplicated_member_is_zero():
@@ -281,7 +291,9 @@ def test_near_keeps_a_member_whose_bound_rounds_above_the_threshold():
     eps = value - MASS_SLACK
     while eps + MASS_SLACK != value:
         eps = float(np.nextafter(eps, 1.0 if eps + MASS_SLACK < value else 0.0))
-    assert _pair_lp([mu, nu], "euclidean")(0, [1], bound=True)[0] > eps + MASS_SLACK
+    dist = _point_distances(mu.points, nu.points, "euclidean")[None]
+    bound = lower_bound_reference(dist, mu.weights[None], nu.weights[None])[0]
+    assert bound > eps + MASS_SLACK
     assert _near(mm.MeasureSet.from_measures([mu]),
                  mm.MeasureSet.from_measures([nu, mm.dirac([9.0, 9.0])]), eps).tolist() == [0]
 

@@ -19,13 +19,13 @@ work is observed from outside it: ``_pair_lp``, ``_lp_subsets``,
 ``lp_feasible``, ``min_pairwise_lp`` and ``hausdorff_distance`` are wrapped
 and rebound in every ``matmeasure`` module that holds them, as
 ``bench/tracer.py`` does.  Each call of the ``lp`` evaluator that
-``_pair_lp`` returns is counted with its pairs: an exact call in
-``lp_calls`` and ``pairs``, a lower-bound call (``bound=True``) in
-``bound_calls`` and ``bounded_pairs``.  Of the exact calls' pairs,
-``capped_pairs`` counts those sent with a ``cap`` and ``cap_skipped`` those
-the cap left unevaluated (NaN).  ``skipped_pairs`` counts the distinct pairs
-an evaluator bounded but never evaluated, and each subset-kernel call is
-counted with its pairs; ``kernel_uniform_pairs`` counts the pairs of the
+``_pair_lp`` returns is counted with its pairs in ``lp_calls`` and
+``pairs``.  Of these pairs, ``capped_pairs`` counts those sent with a
+``cap`` and ``cap_skipped`` those the cap left unevaluated (NaN).  The
+evaluator has no lower-bound mode, so there are no bound counts: every
+pruned search, ``min_pairwise_lp`` included, skips pairs through ``cap``.
+Each subset-kernel call is counted with its pairs;
+``kernel_uniform_pairs`` counts the pairs of the
 kernel calls whose second-side weights are equal within every pair, the
 calls that sort their distances alone.  A Hausdorff case holds these
 counts and every Hausdorff value in call order as ``float.hex``; the
@@ -91,8 +91,8 @@ class Counter:
     """Wraps the pair evaluator, the subset kernel, the feasibility decision,
     the minimum search and the Hausdorff entry."""
 
-    COUNTS = ("lp_calls", "pairs", "capped_pairs", "cap_skipped", "bound_calls",
-              "bounded_pairs", "kernel_calls", "kernel_pairs", "kernel_uniform_pairs")
+    COUNTS = ("lp_calls", "pairs", "capped_pairs", "cap_skipped", "kernel_calls",
+              "kernel_pairs", "kernel_uniform_pairs")
 
     def __init__(self):
         self.scope = "other"
@@ -112,29 +112,17 @@ class Counter:
     def reset(self) -> None:
         self.counts = {scope: dict.fromkeys(self.COUNTS, 0)
                        for scope in ("min_search", "other")}
-        # Per evaluator that bounded pairs: (scope, bounded pairs, evaluated pairs).
-        self.evaluators: list[tuple[str, set, set]] = []
         self.values: list[str] = []
         self.feasible_calls = 0
 
     def pair_lp(self, *args):
         lp = self._pair_lp(*args)
-        seen = None
 
-        def counted(i, j, bound=False, cap=None):
-            nonlocal seen
+        def counted(i, j, cap=None):
             counts = self.counts[self.scope]
             size = np.broadcast(i, j).size
-            counts["bound_calls" if bound else "lp_calls"] += 1
-            counts["bounded_pairs" if bound else "pairs"] += size
-            if bound and seen is None:
-                seen = (self.scope, set(), set())
-                self.evaluators.append(seen)
-            if seen is not None:
-                rows, cols = np.broadcast_arrays(i, j)
-                seen[1 if bound else 2].update(zip(rows.tolist(), cols.tolist()))
-            if bound:
-                return lp(i, j, bound=True)
+            counts["lp_calls"] += 1
+            counts["pairs"] += size
             if cap is None:
                 return lp(i, j)
             out = lp(i, j, cap=cap)
@@ -167,13 +155,8 @@ class Counter:
         self.values.append(float(value).hex())
         return value
 
-    def scope_counts(self, scope: str) -> dict:
-        skipped = sum(len(bounded - evaluated)
-                      for s, bounded, evaluated in self.evaluators if s == scope)
-        return dict(self.counts[scope], skipped_pairs=skipped)
-
     def result(self) -> dict:
-        out = dict(self.scope_counts("other"), values=self.values)
+        out = dict(self.counts["other"], values=self.values)
         self.reset()
         return out
 
@@ -320,7 +303,7 @@ def workload_case(counter: Counter, name: str) -> dict:
 
 def reconstruct_case(counter: Counter) -> dict:
     stdout = run_ops("reconstruct", "reconstruct")
-    out = {name: {key: value for key, value in counter.scope_counts(scope).items()
+    out = {name: {key: value for key, value in counter.counts[scope].items()
                   if not key.startswith("kernel")}
            for name, scope in (("min_search", "min_search"), ("isolation", "other"))}
     out.update(lp_feasible_calls=counter.feasible_calls,
