@@ -120,11 +120,11 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     norm_bound = args.norm_bound
     recovered = reconstruct(oracle, norm_bound=norm_bound, trials=args.trials,
                             rng_seed=args.seed)
-    for row in recovered:
-        print(" ".join(format(v, ".12g") for v in row))
     witness = switching_witness(recovered, hidden.entries)
     if witness is None:
         raise ValueError("recovered matrix is not switching-equivalent to the input")
+    for row in recovered:
+        print(" ".join(format(v, ".12g") for v in row))
     print("witness: " + " ".join(str(i) for i in witness))
     print(f"queries: {oracle.query_count}")
     return 0

@@ -3,7 +3,7 @@
 Eigenvalues show up as measures supported on a line through the origin, the
 all-ones test vector exposes the row sums (vertex degrees for adjacency
 matrices), and from those two ingredients the star and cycle homomorphism
-counts follow in closed form.  A brute-force homomorphism counter serves as
+counts follow in closed form.  An exhaustive homomorphism counter serves as
 the independent cross-check.
 """
 
@@ -90,27 +90,15 @@ def hom_cycle(matrix: MeasuredMatrix, k: int) -> CycleHomCount:
 
 
 def count_homomorphisms(pattern: Graph, target: Graph) -> int:
-    """Exact homomorphism count by exhaustive assignment with pruning."""
+    """Exact homomorphism count: every map of pattern vertices to target
+    vertices, counted when it sends each pattern edge to a target edge."""
     if pattern.n > _HOM_PATTERN_LIMIT:
         raise ValueError(f"pattern graph limited to {_HOM_PATTERN_LIMIT} vertices")
     if target.n > _HOM_TARGET_LIMIT:
         raise ValueError(f"target graph limited to {_HOM_TARGET_LIMIT} vertices")
     adj_target = target.adjacency_matrix() > 0.5
-    earlier_neighbors: list[list[int]] = [[] for _ in range(pattern.n)]
+    maps = np.indices((target.n,) * pattern.n, dtype=np.int8).reshape(pattern.n, -1)
+    fits = np.ones(maps.shape[1], dtype=bool)
     for u, v in pattern.edges:
-        lo, hi = min(u, v), max(u, v)
-        earlier_neighbors[hi].append(lo)
-
-    assignment = [0] * pattern.n
-
-    def assign(vertex: int) -> int:
-        if vertex == pattern.n:
-            return 1
-        count = 0
-        for image in range(target.n):
-            if all(adj_target[assignment[w], image] for w in earlier_neighbors[vertex]):
-                assignment[vertex] = image
-                count += assign(vertex + 1)
-        return count
-
-    return assign(0)
+        fits &= adj_target[maps[u], maps[v]]
+    return int(fits.sum())

@@ -182,10 +182,20 @@ def perturb(x, i: int, d: float, norm_bound: float) -> np.ndarray:
     return shifted
 
 
+def _as_permutation(sigma: Sequence[int], n: int) -> np.ndarray:
+    """``sigma`` as an index array, or a ValueError unless it is a
+    permutation of range(n)."""
+    idx = np.asarray(sigma, dtype=int)
+    if idx.shape != (n,) or not np.array_equal(np.sort(idx), np.arange(n)):
+        raise ValueError(f"sigma {idx.tolist()} is not a permutation of range({n})")
+    return idx
+
+
 def relabel_matrix(a: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     """P A P^T for the permutation (Px)_i = x_{sigma(i)}; equals A[sigma][:, sigma]."""
-    idx = np.asarray(sigma, dtype=int)
-    return np.asarray(a, dtype=float)[np.ix_(idx, idx)]
+    a = np.asarray(a, dtype=float)
+    idx = _as_permutation(sigma, len(a))
+    return a[np.ix_(idx, idx)]
 
 
 class Graph:
@@ -223,8 +233,7 @@ class Graph:
 
     def relabel(self, sigma: Sequence[int]) -> "Graph":
         """Graph with vertex u renamed to position of u in sigma's inverse."""
-        idx = list(sigma)
-        inv = {idx[i]: i for i in range(self.n)}
+        inv = np.argsort(_as_permutation(sigma, self.n))
         return Graph(self.n, [(inv[u], inv[v]) for u, v in self.edges])
 
     def __repr__(self) -> str:

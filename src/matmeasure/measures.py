@@ -713,17 +713,19 @@ def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
     return float(best)
 
 
-def _prejoin(table: np.ndarray, x: MeasureSet, y: MeasureSet) -> None:
-    """Put 0.0, what ``lp_distance`` returns there, in ``table`` at every pair
-    of members with bitwise-equal canonical keys, matched within the key
+def _prejoin(x: MeasureSet, y: MeasureSet) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays (i, j) of the pairs of members with bitwise-equal
+    canonical keys, where ``lp_distance`` returns 0.0, matched within the key
     stacks of one atom count (the sets share their dimension)."""
     (cx, _, kx), (cy, _, ky) = _key_stacks(x), _key_stacks(y)
+    pairs = []
     for m in kx.keys() & ky.keys():
         in_y = {key.tobytes(): j for key, j in zip(ky[m], np.flatnonzero(cy == m))}
         for key, i in zip(kx[m], np.flatnonzero(cx == m)):
             j = in_y.get(key.tobytes())
             if j is not None:
-                table[i, j] = 0.0
+                pairs.append((i, j))
+    return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
 
 
 def _quantile_sketch(counts: np.ndarray, stacks: dict) -> np.ndarray:
@@ -824,10 +826,11 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
     search over one shared table of evaluated pairs (Taha & Hanbury 2015),
     filled in three batched steps:
 
-    * an equality pre-join puts 0.0, what ``lp_distance`` returns there, at
-      every pair whose canonical keys are bitwise equal, so a member that
-      reappears in the other set costs no evaluation;
-    * every row without such a zero, in both directions, gets its candidate
+    * an equality pre-join (``_prejoin``) finds the index pairs whose
+      canonical keys are bitwise equal, and 0.0, what ``lp_distance``
+      returns there, is put at each, so a member that reappears in the other
+      set costs no evaluation;
+    * every row without such a pair, in both directions, gets its candidate
       of nearest quantile sketch (``_quantile_sketch``), all in one
       evaluation call;
     * each direction then visits its rows in descending order of their
@@ -851,10 +854,11 @@ def hausdorff_distance(x: MeasureSet, y: MeasureSet, metric: str = "euclidean") 
     lp = _pair_lp(members, metric)
     sketch = _quantile_sketch(counts, stacks)
     table = np.full((len(x), len(y)), np.nan)
-    _prejoin(table, x, y)
+    twin_x, twin_y = _prejoin(x, y)
+    table[twin_x, twin_y] = 0.0
     in_x, in_y = np.arange(len(x)), np.arange(len(x), len(members))
-    zero = table == 0.0
-    rows, cols = np.flatnonzero(~zero.any(axis=1)), np.flatnonzero(~zero.any(axis=0))
+    rows = np.flatnonzero(np.bincount(twin_x, minlength=len(x)) == 0)
+    cols = np.flatnonzero(np.bincount(twin_y, minlength=len(y)) == 0)
     first = np.sort(np.concatenate([rows * len(y) + _nearest(sketch, in_x[rows], in_y),
                                     _nearest(sketch, in_y[cols], in_x) * len(y) + cols]))
     # Each pair once (np.unique would import numpy.ma, about 1 MB).

@@ -31,7 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .matrices import MeasuredMatrix, _permutations, norm_inf_to_1, orbit_measures, perturb
+from .matrices import (FACTORIAL_LIMIT, MeasuredMatrix, _as_permutation, _permutations,
+                       norm_inf_to_1, orbit_measures, perturb)
 from .measures import (MASS_SLACK, MeasureSet, WeightedPointMeasure, _join, _key_stacks,
                        _pair_lp, _take, min_pairwise_lp)
 
@@ -88,7 +89,7 @@ def permutation_commutator(a: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
 
     (PA)_{ij} = A_{sigma(i), j} and (AP)_{ij} = A_{i, sigma^-1(j)}.
     """
-    idx = np.asarray(sigma, dtype=int)
+    idx = _as_permutation(sigma, len(a))
     return a[idx, :] - a[:, np.argsort(idx)]
 
 
@@ -158,54 +159,27 @@ def switching_witness(a, b, tol: float = 1e-9) -> Optional[np.ndarray]:
     """A permutation sigma with A[i, j] == B[sigma(i), sigma(j)], or None.
 
     Equivalently A = P B P^T for the matrix P acting as (Px)_i = x_{sigma(i)}.
-    Backtracking over vertex images, pruned by diagonal values and sorted
-    row/column multisets; guaranteed fast up to order 7 and practical at 9.
+    A plain scan of the permutation table (``matrices._permutations``), one
+    block of (n - 1)! rows per image of vertex 0: the first row whose
+    relabeling of B is within ``tol`` of A in every entry, so the
+    lexicographically smallest witness.  Orders above ``FACTORIAL_LIMIT``
+    are refused.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("switching equivalence needs equal-order square matrices")
     n = a.shape[0]
-
-    rows_a = np.sort(a, axis=1)
-    rows_b = np.sort(b, axis=1)
-    cols_a = np.sort(a.T, axis=1)
-    cols_b = np.sort(b.T, axis=1)
-    candidates: list[list[int]] = []
-    for i in range(n):
-        options = [j for j in range(n)
-                   if abs(a[i, i] - b[j, j]) <= tol
-                   and np.all(np.abs(rows_a[i] - rows_b[j]) <= tol)
-                   and np.all(np.abs(cols_a[i] - cols_b[j]) <= tol)]
-        if not options:
-            return None
-        candidates.append(options)
-
-    sigma = np.full(n, -1, dtype=int)
-    used = [False] * n
-
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for t in range(i):
-                if (abs(a[i, t] - b[j, sigma[t]]) > tol
-                        or abs(a[t, i] - b[sigma[t], j]) > tol):
-                    ok = False
-                    break
-            if ok:
-                sigma[i] = j
-                used[j] = True
-                if assign(i + 1):
-                    return True
-                used[j] = False
-        sigma[i] = -1
-        return False
-
-    return sigma.copy() if assign(0) else None
+    if n > FACTORIAL_LIMIT:
+        raise ValueError(f"switching witness limited to order {FACTORIAL_LIMIT}; found {n}")
+    perms = _permutations(n)
+    step = len(perms) // max(n, 1)
+    for start in range(0, len(perms), step):
+        block = perms[start:start + step]
+        fits = (np.abs(b[block[:, :, None], block[:, None, :]] - a) <= tol).all(axis=(1, 2))
+        if fits.any():
+            return block[fits.argmax()].copy()
+    return None
 
 
 def _best_vector(oracle: MeasureOracle, rng: np.random.Generator,

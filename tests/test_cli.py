@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import matmeasure as mm
@@ -53,6 +54,14 @@ def test_reconstruct_round_trip(inputs, capsys):
     out = capsys.readouterr().out
     assert "witness:" in out
     assert "queries:" in out
+
+
+def test_reconstruct_prints_nothing_when_the_witness_fails(inputs, capsys, monkeypatch):
+    monkeypatch.setattr("matmeasure.cli.reconstruct", lambda oracle, **_: np.eye(4))
+    assert main(["reconstruct", str(inputs / "p4.graph")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "recovered matrix is not switching-equivalent to the input" in captured.err
 
 
 @pytest.mark.parametrize("bound", ["nan", "inf", "-3"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,31 @@ def test_count_homomorphisms_size_limits():
         mm.count_homomorphisms(mm.path_graph(7), mm.complete_graph(3))
     with pytest.raises(ValueError):
         mm.count_homomorphisms(mm.path_graph(2), mm.complete_graph(9))
+
+
+def hom_count_reference(pattern, target):
+    """Maps of pattern vertices to target vertices, from ``itertools.product``,
+    that send every pattern edge to a target edge."""
+    adj = target.adjacency_matrix().tolist()
+    return sum(all(adj[f[u]][f[v]] for u, v in pattern.edges)
+               for f in itertools.product(range(target.n), repeat=pattern.n))
+
+
+def test_count_homomorphisms_equals_the_count_over_every_map():
+    patterns = ([mm.path_graph(p) for p in range(1, 7)] + [mm.cycle_graph(p) for p in range(3, 7)]
+                + [mm.star_graph(p) for p in range(2, 7)]
+                + [mm.complete_graph(p) for p in range(2, 7)]
+                + [mm.edgeless_graph(p) for p in range(1, 7)])
+    rng = np.random.default_rng(61)
+    pairs = 0
+    for pattern in patterns:
+        for _ in range(40):
+            t = int(rng.integers(1, 9))
+            upper = np.triu(rng.random((t, t)) < rng.random(), 1)
+            target = mm.Graph(t, zip(*upper.nonzero()))
+            assert mm.count_homomorphisms(pattern, target) == hom_count_reference(pattern, target)
+            pairs += 1
+    assert pairs >= 1000
 
 
 def test_hom_formulas_agree_with_brute_force_on_4_vertices():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,10 @@ def test_orbit_respects_weight_preservation():
 # permutation covariance
 # ---------------------------------------------------------------------------
 
+def not_a_permutation(sigma, n):
+    return re.escape(f"sigma {sigma} is not a permutation of range({n})")
+
+
 def test_relabeling_covariance_exact_atoms():
     rng = np.random.default_rng(21)
     for _ in range(30):
@@ -123,6 +128,9 @@ def test_relabeling_covariance_exact_atoms():
         nu = mm.generate_measure(
             mm.MeasuredMatrix(mm.relabel_matrix(a, sigma), m.p[sigma]), x[sigma])
         assert mm.measure_equal(mu, nu, 1e-12)
+    for bad in ([0, 0, 1], [0, 1], [0, 1, 3], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match=not_a_permutation(bad, 3)):
+            mm.relabel_matrix(EXAMPLE_A, bad)
 
 
 @pytest.mark.parametrize("n", range(1, mm.matrices.FACTORIAL_LIMIT + 1))
@@ -146,6 +154,9 @@ def test_commuting_permutations_fix_measures():
     m = mm.MeasuredMatrix(EXAMPLE_A)
     reversal = np.array([2, 1, 0])
     assert np.max(np.abs(permutation_commutator(EXAMPLE_A, reversal))) == 0.0
+    for bad in ([0, 0, 1], [0, 1], [2, 1, 0, 3]):
+        with pytest.raises(ValueError, match=not_a_permutation(bad, 3)):
+            permutation_commutator(EXAMPLE_A, bad)
     rng = np.random.default_rng(22)
     for _ in range(20):
         x = rng.uniform(-2, 2, 3)
@@ -290,6 +301,9 @@ def test_relabel_graph_preserves_degree_multiset():
     g = mm.Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     h = g.relabel([3, 1, 0, 2])
     assert sorted(g.degrees()) == sorted(h.degrees())
+    for bad in ([0, 0, 1, 2], [3, 1, 0], [0, 1, 2, 4]):
+        with pytest.raises(ValueError, match=not_a_permutation(bad, 4)):
+            g.relabel(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from matmeasure.flows import bipartite_max_flow
 from matmeasure.measures import (_BOUND_SLACK, MASS_SLACK, METRICS, SET_DEDUP_TOL,
                                  SUBSET_KERNEL_MAX_ATOMS, _canonical_keys, _canonical_rank, _dedup,
                                  _far_pairs, _join, _key_stacks, _lp_breakpoints,
-                                 _lp_subsets, _pair_lp, _point_distances, _quantile_sketch,
-                                 _stack_keys)
+                                 _lp_subsets, _pair_lp, _point_distances, _prejoin,
+                                 _quantile_sketch, _stack_keys)
 from conftest import (canonical_key_reference, dedup_reference, far_mass_pair,
                       four_vertex_classes, hausdorff_reference, lower_bound_reference, lp_oracle,
                       lp_reference, measure_set_reference, random_measure, random_weights)
@@ -679,6 +679,10 @@ def test_hausdorff_on_a_relabeled_house_where_the_prejoin_hits_and_misses():
     keys_y = {bitwise_key(mu) for mu in y}
     twins = sum(bitwise_key(mu) in keys_y for mu in x)
     assert 0 < twins < len(x) == len(y) == 360
+    twin_x, twin_y = _prejoin(x, y)
+    assert len(twin_x) == len(set(twin_x.tolist())) == len(set(twin_y.tolist())) == twins
+    assert all(bitwise_key(x.members[i]) == bitwise_key(y.members[j])
+               for i, j in zip(twin_x, twin_y))
     assert mm.hausdorff_distance(x, y) == twin_free_reference(x, y) == 0.0
     assert mm.hausdorff_distance(y, x) == 0.0
 

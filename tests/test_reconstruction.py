@@ -126,6 +126,51 @@ def test_switching_witness_random_relabelings():
 def test_switching_witness_shape_mismatch():
     with pytest.raises(ValueError):
         mm.switching_witness(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match="limited to order 8; found 9"):
+        mm.switching_witness(np.eye(9), np.eye(9))
+
+
+def first_witness_reference(a, b, tol=1e-9):
+    """The first sigma in ``itertools.permutations`` order with
+    |B[sigma(i), sigma(j)] - A[i, j]| <= tol in every entry, or None."""
+    a, b = a.tolist(), b.tolist()
+    return next((list(sigma) for sigma in itertools.permutations(range(len(a)))
+                 if all(abs(b[si][sj] - a[i][j]) <= tol
+                        for i, si in enumerate(sigma) for j, sj in enumerate(sigma))), None)
+
+
+def test_switching_witness_is_the_first_valid_permutation():
+    # 0/1, Gaussian, symmetric 0/1 and rounded Gaussian matrices of orders
+    # 0-7, each against a relabeling, a relabeling with one entry moved, and
+    # a relabeling with noise up to 2e-9, on both sides of the tolerance.
+    rng = np.random.default_rng(2025)
+
+    def symmetric(n):
+        upper = np.triu(rng.integers(0, 2, (n, n)), 1).astype(float)
+        return upper + upper.T
+
+    kinds = [lambda n: rng.integers(0, 2, (n, n)).astype(float),
+             lambda n: rng.standard_normal((n, n)),
+             symmetric,
+             lambda n: np.round(rng.standard_normal((n, n)), 1)]
+    pairs, found = 0, [0, 0, 0]
+    for n in range(8):
+        for kind in kinds:
+            for _ in range(21):
+                a = kind(n)
+                b = mm.relabel_matrix(a, rng.permutation(n))
+                moved, noisy = b.copy(), b + rng.choice([-0.5e-9, 0.0, 0.5e-9], (n, n))
+                if n:
+                    i, j = rng.integers(0, n, 2)
+                    moved[i, j] += 1.0
+                    noisy[i, j] += rng.choice([-1.5e-9, 1.5e-9])
+                for k, other in enumerate((b, moved, noisy)):
+                    expected = first_witness_reference(a, other)
+                    witness = mm.switching_witness(a, other)
+                    assert (witness if witness is None else witness.tolist()) == expected
+                    pairs, found[k] = pairs + 1, found[k] + (expected is not None)
+    # Every relabeling has a witness; some noisy copies stay within the tolerance.
+    assert pairs == 2016 and found[0] == 672 and 0 < found[2] < 672
 
 
 # ---------------------------------------------------------------------------
