@@ -182,9 +182,13 @@ def perturb(x, i: int, d: float, norm_bound: float) -> np.ndarray:
     return shifted
 
 
-def _as_permutation(sigma: Sequence[int], n: int) -> np.ndarray:
-    """``sigma`` as an index array, or a ValueError unless it is a
+def _as_permutation(sigma: Sequence[int], shape: tuple) -> np.ndarray:
+    """``sigma`` as an index array relabeling a matrix of ``shape``, or a
+    ValueError unless the matrix is square, (n, n), and ``sigma`` is a
     permutation of range(n)."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"a relabeling needs a square matrix, got shape {tuple(shape)}")
+    n = shape[0]
     idx = np.asarray(sigma, dtype=int)
     if idx.shape != (n,) or not np.array_equal(np.sort(idx), np.arange(n)):
         raise ValueError(f"sigma {idx.tolist()} is not a permutation of range({n})")
@@ -194,7 +198,7 @@ def _as_permutation(sigma: Sequence[int], n: int) -> np.ndarray:
 def relabel_matrix(a: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
     """P A P^T for the permutation (Px)_i = x_{sigma(i)}; equals A[sigma][:, sigma]."""
     a = np.asarray(a, dtype=float)
-    idx = _as_permutation(sigma, len(a))
+    idx = _as_permutation(sigma, a.shape)
     return a[np.ix_(idx, idx)]
 
 
@@ -233,7 +237,7 @@ class Graph:
 
     def relabel(self, sigma: Sequence[int]) -> "Graph":
         """Graph with vertex u renamed to position of u in sigma's inverse."""
-        inv = np.argsort(_as_permutation(sigma, self.n))
+        inv = np.argsort(_as_permutation(sigma, (self.n, self.n)))
         return Graph(self.n, [(inv[u], inv[v]) for u, v in self.edges])
 
     def __repr__(self) -> str:

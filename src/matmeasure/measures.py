@@ -32,7 +32,11 @@ show their distance above the cap (``_far_pairs``, the one lower bound) and
 leaves NaN for the others: the Hausdorff search caps each candidate at its
 row's running minimum, ``min_pairwise_lp`` each block of pairs at the
 smallest distance so far, and reconstruction's isolation check at its
-threshold.
+threshold.  On an exact orbit, whose members share their first column,
+``min_pairwise_lp`` reads the same far test off the distances between atoms
+at the same position once its cap is below the column's smallest gap, and
+drops in one pass every pair the evaluator would skip
+(``_same_position_far``).
 
 A collection of measures has one form, the key table (``_stack_keys``) of
 its canonical keys stacked by atom count.  A ``MeasureSet`` is one, so a set
@@ -77,7 +81,8 @@ SUBSET_KERNEL_MAX_ATOMS = 10
 _SUBSET_TABLE_MAX_CELLS = 1 << 20
 # Subset-table cells per chunk of pairs in _pair_lp, which keeps the kernel's
 # work buffer and argsort near 0.2 MB.  It also bounds the candidate orders
-# of one Hausdorff wave and the squared gaps of one block of sketch rows.
+# of one Hausdorff wave, the squared gaps of one block of sketch rows, and
+# the keys of one chunk of ``min_pairwise_lp``'s same-position passes.
 # The traced peak of one exact-orbit dist of 360 x 60 members (house vs
 # K(2,3)) is 0.94 MB with it, and was 1.8 MB with 1 << 15.
 _CHUNK_CELLS = 1 << 13
@@ -479,9 +484,16 @@ def _far_pairs(dist: np.ndarray, a: np.ndarray, b: np.ndarray, t: np.ndarray) ->
     pair whose mu(A_t) or (by symmetry) nu's far mass exceeds t is at
     distance above t.  The masses are summed in atom order, which
     ``_BOUND_SLACK`` covers."""
-    col = t[:, None]
-    return ((np.where(_row_min(dist) > col, a, 0.0).sum(axis=1) > t)
-            | (np.where(_row_min(dist.swapaxes(1, 2)) > col, b, 0.0).sum(axis=1) > t))
+    return _far_mass(_row_min(dist), a, _row_min(dist.swapaxes(1, 2)), b, t)
+
+
+def _far_mass(r: np.ndarray, a: np.ndarray, s: np.ndarray, b: np.ndarray, t) -> np.ndarray:
+    """``_far_pairs``' verdict from each atom's distance to the other side's
+    nearest atom, ``r`` (P, m1) for the weights ``a`` and ``s`` (P, m2) for
+    ``b``, at ``t`` (P,) or one cap for all."""
+    col = np.asarray(t)[..., None]
+    return ((np.where(r > col, a, 0.0).sum(axis=1) > t)
+            | (np.where(s > col, b, 0.0).sum(axis=1) > t))
 
 
 def _lp_breakpoints(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -692,24 +704,117 @@ def _pair_lp(members, metric: str):
     return lp
 
 
+def _shared_column(members) -> tuple:
+    """The one key stack of a collection whose members share a bitwise-equal,
+    strictly increasing first column, as an exact orbit's members do, with
+    that column's smallest computed gap; (None, 0.0) for any other, and for
+    fewer than two members."""
+    stacks = _key_stacks(members)[2]
+    if len(stacks) != 1 or len(keys := next(iter(stacks.values()))) < 2:
+        return None, 0.0
+    column = keys[0, :, 0]
+    gaps = np.diff(column)
+    if not (gaps > 0.0).all() or not (keys[..., 0] == column).all():
+        return None, 0.0
+    return keys, float(gaps.min(initial=np.inf))
+
+
+def _same_position_far(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray, t: float,
+                       metric: str) -> np.ndarray:
+    """Which pairs ``rows``, ``cols`` of a shared-column stack
+    (``_shared_column``) the evaluator leaves NaN at the far-test threshold
+    ``t``, when ``t`` is below the column's smallest gap: ``_far_pairs``'
+    mass test on the distances between atoms at the same position alone, for
+    pairs the equality rule does not answer.  Those distances are the
+    diagonals of the pairs' ``_point_distances`` tables bit for bit, its
+    d >= 8 branch included: each entry is computed alone, by the same
+    operations.  The pairs go in chunks whose two keys per pair fill
+    ``_CHUNK_CELLS`` cells.  ``min_pairwise_lp`` gives the proof."""
+    far = np.empty(len(rows), dtype=bool)
+    step = max(1, _CHUNK_CELLS // (2 * keys[0].size))
+    for s in range(0, len(rows), step):
+        key1, key2 = keys[rows[s:s + step]], keys[cols[s:s + step]]
+        dist = _point_distances(key1[..., None, :-1], key2[..., None, :-1], metric)[..., 0, 0]
+        far[s:s + step] = (_far_mass(dist, key1[..., -1], dist, key2[..., -1], t)
+                           & ~_same_keys(key1, key2))
+    return far
+
+
+def _nearest_first(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A search order for the pairs ``rows``, ``cols`` of a shared-column
+    stack (``_shared_column``).  A pair's spread is its largest coordinate
+    difference between two atoms at one position; on planar orbits it is the
+    pair's largest same-position distance, under both metrics.  The N pairs
+    of smallest spread, N the stack's members, come first in ascending
+    order, then the others; ties and the others keep the given order.  A
+    partition and a sort of N pairs cost less than a sort of all of them.
+    The spreads only order the search, so they need not round as
+    ``_point_distances`` does; they are taken in chunks of ``_CHUNK_CELLS``
+    differences."""
+    y = keys[..., 1:-1].reshape(len(keys), -1).T.copy()
+    largest = np.empty(len(rows))
+    step = max(1, _CHUNK_CELLS // max(1, len(y)))
+    for s in range(0, len(rows), step):
+        diff = np.take(y, rows[s:s + step], axis=1)
+        diff -= np.take(y, cols[s:s + step], axis=1)
+        largest[s:s + step] = np.abs(diff, out=diff).max(axis=0, initial=0.0)
+    k = min(len(keys), len(largest)) - 1
+    kth = np.partition(largest, k)[k]
+    head = np.flatnonzero(largest <= kth)
+    return np.concatenate((head[np.argsort(largest[head], kind="stable")],
+                           np.flatnonzero(largest > kth)))
+
+
 def min_pairwise_lp(measures, metric: str = "euclidean") -> float:
     """Smallest LP distance between distinct members of a collection: bit for
     bit the minimum of ``lp_distance`` over all pairs.
 
-    The pairs are evaluated in ``np.triu_indices`` order, in blocks of 1, 2,
-    4, ... pairs, one call per block, each pair capped at the smallest value
-    so far (none in the first block).  A pair the cap skips is at a computed
-    distance above it, so it cannot lower the minimum.  A ``MeasureSet`` is
-    read from its key stacks, without building its members.
+    The pairs are evaluated in blocks of 1, 2, 4, ... pairs, one call per
+    block, each pair capped at the smallest value so far (none in the first
+    block).  A pair the cap skips is at a computed distance above it, so it
+    cannot lower the minimum, and the order of the pairs changes only the
+    work.  A ``MeasureSet`` is read from its key stacks, without building
+    its members.
+
+    Most collections go in ``np.triu_indices`` order.  The members of an
+    exact orbit share one atom count and a bitwise-equal, strictly increasing
+    first column (``_shared_column``), and there the search drops most pairs
+    in one pass instead of far-testing each in its block.  Let g be the
+    column's smallest computed gap.  Atoms at positions i < j of two members
+    differ by a = fl(x_j - x_i) >= fl(x_(i+1) - x_i) >= g in the first
+    coordinate (up to sign), as rounding is monotone.  The other terms of their computed
+    squared distance are nonnegative, so the sum is at least fl(a^2), and
+    sqrt(fl(a^2)) = |a| (no underflow: g > t >= ``_BOUND_SLACK`` below);
+    the Chebyshev maximum is at least |a|.  So their computed distance is at
+    least g, in either branch of ``_point_distances``.  At the same
+    position the first coordinates cancel exactly and add exactly 0.0.  So
+    for a far-test threshold t < g, an atom's nearest distance exceeds t iff
+    its same-position distance does, and ``_far_pairs``' verdict is the same
+    mass test on those m distances (``_same_position_far``).  The pairs
+    whose atoms are nearest at every position come first
+    (``_nearest_first``), so the best value soon drops below g.  Once t = best + ``_BOUND_SLACK`` < g, one pass
+    drops every remaining pair that this test calls far at t, which are the
+    pairs the evaluator would leave NaN at that cap, and the blocks continue
+    on the survivors.  A pair far at one cap is far at every lower cap, so
+    no later block would have evaluated a dropped pair.  A stack whose best
+    never drops below g is searched block by block to the end.
     """
     members = measures if isinstance(measures, MeasureSet) else list(measures)
     rows, cols = np.triu_indices(len(members), 1)
     lp = _pair_lp(members, metric)
+    keys, gap = _shared_column(members)
+    if keys is not None:
+        order = _nearest_first(keys, rows, cols)
+        rows, cols = rows[order], cols[order]
     best, start, size = np.inf, 0, 1
     while start < len(rows):
         block = slice(start, start + size)
         best = np.fmin.reduce(lp(rows[block], cols[block], cap=best), initial=best)
         start, size = start + size, 2 * size
+        if keys is not None and (t := best + _BOUND_SLACK) < gap:
+            near = start + np.flatnonzero(
+                ~_same_position_far(keys, rows[start:], cols[start:], t, metric))
+            rows, cols, start, keys = rows[near], cols[near], 0, None
     return float(best)
 
 

@@ -89,7 +89,7 @@ def permutation_commutator(a: np.ndarray, sigma: Sequence[int]) -> np.ndarray:
 
     (PA)_{ij} = A_{sigma(i), j} and (AP)_{ij} = A_{i, sigma^-1(j)}.
     """
-    idx = _as_permutation(sigma, len(a))
+    idx = _as_permutation(sigma, np.shape(a))
     return a[idx, :] - a[:, np.argsort(idx)]
 
 

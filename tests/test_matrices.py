@@ -131,6 +131,9 @@ def test_relabeling_covariance_exact_atoms():
     for bad in ([0, 0, 1], [0, 1], [0, 1, 3], [0, 1, 2, 3]):
         with pytest.raises(ValueError, match=not_a_permutation(bad, 3)):
             mm.relabel_matrix(EXAMPLE_A, bad)
+    # A non-square matrix is refused, not cut to a relabeled corner.
+    with pytest.raises(ValueError, match=re.escape("got shape (3, 4)")):
+        mm.relabel_matrix(np.arange(12.0).reshape(3, 4), [2, 0, 1])
 
 
 @pytest.mark.parametrize("n", range(1, mm.matrices.FACTORIAL_LIMIT + 1))
@@ -157,6 +160,8 @@ def test_commuting_permutations_fix_measures():
     for bad in ([0, 0, 1], [0, 1], [2, 1, 0, 3]):
         with pytest.raises(ValueError, match=not_a_permutation(bad, 3)):
             permutation_commutator(EXAMPLE_A, bad)
+    with pytest.raises(ValueError, match=re.escape("got shape (3, 4)")):
+        permutation_commutator(np.arange(12.0).reshape(3, 4), [2, 0, 1])
     rng = np.random.default_rng(22)
     for _ in range(20):
         x = rng.uniform(-2, 2, 3)

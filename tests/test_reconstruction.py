@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import matmeasure as mm
-from matmeasure.measures import MASS_SLACK, METRICS, _key_stacks, _pair_lp, _point_distances
+from matmeasure.measures import (_BOUND_SLACK, MASS_SLACK, METRICS, _far_pairs, _key_stacks,
+                                 _pair_lp, _point_distances, _same_position_far,
+                                 _shared_column)
 from matmeasure.reconstruction import (KERNEL_RESIDUAL_TOL, DegenerateSupportError,
                                       _commutator_stack, _near, permutation_commutator)
 from conftest import (EXAMPLE_A, EXAMPLE_B, far_mass_pair, four_vertex_classes,
@@ -230,11 +232,16 @@ def all_pairs_minimum(members, metric="euclidean"):
     return min(lp_reference(a, b, metric) for a, b in itertools.combinations(members, 2))
 
 
-def test_min_pairwise_lp_equals_lp_distance_minimum_on_an_orbit():
-    # 120 five-atom measures: 7,140 pairs, evaluated in several chunks.
+def seed_46_orbit():
+    """120 five-atom measures of a seeded 0/1 matrix: 7,140 pairs."""
     rng = np.random.default_rng(46)
     matrix = mm.MeasuredMatrix(rng.integers(0, 2, (5, 5)).astype(float))
-    orbit = list(mm.orbit_measures(matrix, rng.uniform(-1.0, 1.0, 5)))
+    return list(mm.orbit_measures(matrix, rng.uniform(-1.0, 1.0, 5)))
+
+
+def test_min_pairwise_lp_equals_lp_distance_minimum_on_an_orbit():
+    # 7,140 pairs, evaluated in several chunks.
+    orbit = seed_46_orbit()
     assert len(orbit) == 120
     assert mm.min_pairwise_lp(orbit) == all_pairs_minimum(orbit)
 
@@ -285,28 +292,119 @@ def test_min_pairwise_lp_duplicated_member_is_zero():
 
 def seeded_orbit(n, entries, seed):
     """The orbit of a seeded vector under a seeded 0/1, Gaussian or Gaussian
-    circulant matrix (whose cyclic symmetry shrinks an order-6 orbit to 120)."""
+    circulant matrix (whose cyclic symmetry shrinks an order-6 orbit to 120).
+    "close" is a 0/1 orbit of a vector with two entries 0.03 apart; "two"
+    holds the members of two 0/1 orbits, whose first columns differ."""
     rng = np.random.default_rng(seed)
-    if entries == "binary":
+    if entries in ("binary", "close", "two"):
         a = rng.integers(0, 2, (n, n)).astype(float)
     elif entries == "gaussian":
         a = rng.standard_normal((n, n))
     else:
         row = rng.standard_normal(n)
         a = np.array([np.roll(row, i) for i in range(n)])
-    return list(mm.orbit_measures(mm.MeasuredMatrix(a), rng.uniform(-1.0, 1.0, n)))
+    x = rng.uniform(-1.0, 1.0, n)
+    if entries == "close":
+        x[1] = x[0] + 0.03
+    members = list(mm.orbit_measures(mm.MeasuredMatrix(a), x))
+    if entries == "two":
+        members += mm.orbit_measures(mm.MeasuredMatrix(a), rng.uniform(-1.0, 1.0, n)).members
+    return members
 
 
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("n, entries, seed, size", [
     (3, "binary", 1, 6), (3, "gaussian", 2, 6), (4, "binary", 3, 24), (4, "gaussian", 4, 24),
     (5, "binary", 5, 120), (5, "gaussian", 6, 120), (6, "binary", 7, 360),
-    (6, "circulant", 8, 120)])
+    (6, "circulant", 8, 120), (5, "close", 14, 120), (5, "two", 16, 240)])
 def test_pruned_min_pairwise_lp_equals_the_all_pairs_minimum(metric, n, entries, seed, size):
     orbit = seeded_orbit(n, entries, seed)
     assert len(orbit) == size
     rows, cols = np.triu_indices(len(orbit), 1)
-    assert mm.min_pairwise_lp(orbit, metric) == _pair_lp(orbit, metric)(rows, cols).min()
+    value = mm.min_pairwise_lp(orbit, metric)
+    assert value == _pair_lp(orbit, metric)(rows, cols).min()
+    keys, gap = _shared_column(orbit)
+    # The orbits share their first column, and "close" reaches its smallest
+    # gap, so no pass drops a pair; "two" is searched in triu order.
+    assert (keys is None) == (entries == "two")
+    assert entries != "close" or value + _BOUND_SLACK >= gap
+
+
+@pytest.mark.parametrize("make, pinned", [
+    (lambda: seeded_orbit(5, "binary", 5), [1, 2]),
+    (lambda: seeded_orbit(5, "gaussian", 6), [1, 2, 4, 5]),
+    # Its minimum equals its smallest x-gap, so no pass drops a pair.
+    (seed_46_orbit, [1 << k for k in range(12)] + [3045])], ids=["binary", "gaussian", "seed46"])
+def test_min_pairwise_lp_sends_the_pinned_pairs_on_an_orbit(monkeypatch, make, pinned):
+    # The pairs of each lp call, in order.  Every order-5 orbit sent all
+    # 7,140 pairs before the same-position pass; a search that silently
+    # falls back to all pairs fails the first two.
+    orbit = make()
+    rows, cols = np.triu_indices(len(orbit), 1)
+    expected = _pair_lp(orbit, "euclidean")(rows, cols).min()
+    sent = []
+
+    def counted(members, metric):
+        lp = _pair_lp(members, metric)
+
+        def call(i, j, cap=None):
+            sent.append(len(i))
+            return lp(i, j, cap)
+        return call
+    monkeypatch.setattr(mm.measures, "_pair_lp", counted)
+    assert mm.min_pairwise_lp(orbit) == expected
+    assert sent == pinned
+
+
+def spread_orbit(n, entries, seed):
+    """The orbit of a seeded 0/1 or Gaussian matrix and a vector whose
+    entries lie more than 1.5/n apart, so that caps below the smallest gap
+    leave many pairs near."""
+    rng = np.random.default_rng(seed)
+    if entries == "binary":
+        a = rng.integers(0, 2, (n, n)).astype(float)
+    else:
+        a = rng.standard_normal((n, n))
+    x = rng.permutation(np.linspace(-1.0, 1.0, n) + rng.uniform(-0.25, 0.25, n) / n)
+    return list(mm.orbit_measures(mm.MeasuredMatrix(a), x))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("n, entries", [
+    (3, "binary"), (3, "gaussian"), (4, "binary"), (4, "gaussian"), (5, "binary"),
+    (5, "gaussian"), (6, "binary"), (6, "gaussian"), (3, "shared"), (9, "shared")])
+def test_same_position_far_test_equals_the_far_test_on_the_full_table(metric, n, entries):
+    # Every pair of an orbit, or of 40 random measures of 6 atoms in
+    # dimension n on one shared first column with random weights ("shared";
+    # dimension 9 takes _point_distances' d >= 8 branch).  Caps below the
+    # smallest gap g: 0, weights and a two-atom mass, pairs' same-position
+    # distances spread over their range, and the largest float below g.
+    if entries == "shared":
+        rng = np.random.default_rng(n)
+        column = np.cumsum(rng.uniform(0.2, 0.6, 6))
+        members = [mm.WeightedPointMeasure(
+            np.column_stack([column, rng.uniform(-0.3, 0.3, (6, n - 1))]), random_weights(rng, 6))
+            for _ in range(40)]
+    else:
+        members = spread_orbit(n, entries, n)
+    keys, gap = _shared_column(members)
+    weights = keys[..., -1]
+    rows, cols = np.triu_indices(len(keys), 1)
+
+    def tables():  # 4,096 pairs at a time
+        for s in range(0, len(rows), 4096):
+            r, c = rows[s:s + 4096], cols[s:s + 4096]
+            yield r, c, _point_distances(keys[r, :, :-1], keys[c, :, :-1], metric)
+    diagonal = np.concatenate([np.diagonal(table, axis1=1, axis2=2) for *_, table in tables()])
+    below = np.unique(diagonal[diagonal < gap])
+    caps = {0.0, float(np.nextafter(gap, 0.0)), float(weights.min()),
+            *(float(w) for w in weights[0, :2]), float(weights[0, 0] + weights[0, 1])}
+    caps |= {float(v) for v in below[np.linspace(0, len(below) - 1, 6).astype(int)]}
+    caps = sorted(c for c in caps if c < gap)
+    for r, c, table in tables():
+        for t in caps:
+            expected = _far_pairs(table, weights[r], weights[c], np.full(len(table), t))
+            assert np.array_equal(_same_position_far(keys, r, c, t, metric), expected)
 
 
 @pytest.mark.parametrize("n, entries, seed", [(4, "gaussian", 11), (5, "binary", 12),
@@ -341,6 +439,50 @@ def test_near_keeps_a_member_whose_bound_rounds_above_the_threshold():
     assert bound > eps + MASS_SLACK
     assert _near(mm.MeasureSet.from_measures([mu]),
                  mm.MeasureSet.from_measures([nu, mm.dirac([9.0, 9.0])]), eps).tolist() == [0]
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_same_position_pass_keeps_a_pair_whose_far_mass_rounds_above_the_best(metric):
+    # Nine atoms on one shared column 100 apart.  (mu, nu) moves the mass of
+    # eight atoms by 10, so its distance v is that mass, which its far test
+    # sums in numpy's pairwise order and reads 2 ulps above v.  (c, d) has
+    # the smaller largest same-position distance, the next float t above v,
+    # so it goes first and the pass runs at t + _BOUND_SLACK: a pass at t
+    # would drop (mu, nu).
+    x = 100.0 * np.arange(9)
+    far = np.random.default_rng(135).uniform(0.01, 0.1, 8)
+    weights = np.concatenate(([1.0 - far.sum()], far))
+
+    def at(y):
+        return mm.WeightedPointMeasure(np.column_stack([x, y]), weights)
+    mu, nu = at(np.full(9, 1000.0)), at(np.r_[1000.0, np.full(8, 1010.0)])
+    value = mm.lp_distance(mu, nu, metric)
+    t = float(np.nextafter(value, 1.0))
+    c, d = at(np.zeros(9)), at(np.r_[t, np.zeros(8)])
+    keys, _ = _shared_column([mu, nu])
+    assert _same_position_far(keys, np.array([0]), np.array([1]), t, metric).tolist() == [True]
+    assert mm.lp_distance(c, d, metric) == t
+    assert mm.min_pairwise_lp([mu, nu, c, d], metric) == value
+
+
+def test_same_position_far_test_keeps_pairs_the_equality_rule_answers():
+    # The copy nudged by 0.9e-9 in six coordinates agrees with the first
+    # member within SET_DEDUP_TOL, but its Euclidean same-position distances
+    # are 2.2e-9, above cap 0 + _BOUND_SLACK: the evaluator answers it 0.0,
+    # so the pass must keep it.
+    rng = np.random.default_rng(30)
+    column = np.cumsum(rng.uniform(0.2, 0.6, 4))
+    points = np.column_stack([column, rng.uniform(-1.0, 1.0, (4, 6))])
+    weights = random_weights(rng, 4)
+    members = [mm.WeightedPointMeasure(p, weights) for p in (
+        points, points + np.r_[0.0, np.full(6, 0.9e-9)], points + np.r_[0.0, np.full(6, 0.5)])]
+    keys, _ = _shared_column(members)
+    rows, cols = np.triu_indices(3, 1)
+    for metric in METRICS:
+        skipped = np.isnan(_pair_lp(members, metric)(rows, cols, cap=0.0))
+        assert skipped.tolist() == [False, True, True]
+        assert _same_position_far(keys, rows, cols, _BOUND_SLACK, metric).tolist() == [
+            False, True, True]
 
 
 def test_min_pairwise_lp_small_collections():

@@ -24,6 +24,8 @@ and rebound in every ``matmeasure`` module that holds them, as
 ``cap`` and ``cap_skipped`` those the cap left unevaluated (NaN).  The
 evaluator has no lower-bound mode, so there are no bound counts: every
 pruned search, ``min_pairwise_lp`` included, skips pairs through ``cap``.
+On an exact orbit ``min_pairwise_lp`` also drops pairs in one same-position
+pass before they reach the evaluator; those pairs are in no count.
 Each subset-kernel call is counted with its pairs;
 ``kernel_uniform_pairs`` counts the pairs of the
 kernel calls whose second-side weights are equal within every pair, the

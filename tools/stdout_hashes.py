@@ -16,7 +16,8 @@ same bytes, so a change that must keep every output bit is checked by
 
     diff <(python3 tools/stdout_hashes.py ../parent) <(python3 tools/stdout_hashes.py .)
 
-All three workloads on five seeds take about two minutes.
+All three workloads on five seeds take about 3 s (2.9-3.5 s on a 2-core x86
+host, Python 3.11, numpy 2.4).
 """
 
 import os
